@@ -1,15 +1,16 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
 Everything here runs over Python's native bignums, so all results are
-exact no matter how large the entries grow.  The module provides Smith
-normal form with unimodular transforms, kernel bases, determinants, and
-a bounded enumerator for the integer solutions of ``X * K = T``.
+exact.  One row-echelon routine does every integer elimination: rank,
+determinant, kernel basis, Smith normal form with unimodular transforms
+and the bounded enumerator for the integer solutions of ``X * K = T``
+all call it, and it keeps every entry polynomial in the input size.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Iterator, Sequence
 
 
@@ -45,7 +46,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return Matrix(_identity_rows(n), cols=n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -129,40 +130,100 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------
-# Smith normal form
+# The elimination kernel
 # ---------------------------------------------------------------------
 
 
-def _swap_rows(a, u, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``x*a + y*b = g``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _swap_cols(a, v, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+def _echelon(a: list) -> tuple[list, int]:
+    """Bring the list of integer rows ``a`` to Hermite normal form in place.
+
+    Rows are taken in one at a time, after Kannan & Bachem (SIAM J.
+    Comput. 1979).  The incoming row is cleared at the column of its
+    leading entry by the pivot row there, through a 2x2 row step of
+    determinant 1: a plain subtraction when the pivot divides the entry,
+    an extended-gcd step otherwise, which lowers the pivot to the gcd.
+    A row whose leading entry meets no pivot becomes a new pivot row.
+    Then every entry above a pivot is reduced into ``[0, pivot)``, so the
+    rows taken in so far are always in Hermite normal form, and no entry
+    grows beyond a polynomial in the input size.  The nonzero rows end
+    first, sorted by pivot column, with positive pivots.
+
+    Callers that need the transform append the identity to ``a``: the
+    appended columns undergo the same row steps, so they end as a
+    unimodular ``u`` with ``u * a_before = a_after``, reduced in the
+    same way.
+
+    Returns the pivot column of each nonzero row, in order, and the
+    determinant (+1 or -1) of the row transform.
+    """
+    pivots: list = []  # [column, row], sorted by column
+    zeros = []
+    sign = 1
+    for k, v in enumerate(a):
+        j = c = 0
+        changed = len(a)  # index of the first pivot row this row changed or became
+        while True:
+            for c in range(c, len(v)):
+                if v[c]:
+                    break
+            else:
+                zeros.append(v)
+                break
+            while j < len(pivots) and pivots[j][0] < c:
+                j += 1
+            if j == len(pivots) or pivots[j][0] > c:
+                if v[c] < 0:
+                    v = [-s for s in v]
+                    sign = -sign
+                if (k - j) % 2:  # the new row moves up past k - j rows
+                    sign = -sign
+                pivots.insert(j, [c, v])
+                changed = min(changed, j)
+                break
+            h = pivots[j][1]
+            p, b = h[c], v[c]
+            if b % p:
+                g, x, y = _xgcd(p, b)
+                pivots[j][1] = [x * s + y * t for s, t in zip(h, v)]
+                v = [p // g * t - b // g * s for s, t in zip(h, v)]
+                changed = min(changed, j)
+            else:
+                v = [t - b // p * s for s, t in zip(h, v)]
+        # rows above a changed pivot row are reduced modulo it and every
+        # later pivot, in column order, so no reduction undoes another
+        for j in range(changed, len(pivots)):
+            c, h = pivots[j]
+            for above in pivots[:j]:
+                q = above[1][c] // h[c]
+                if q:
+                    above[1] = [t - q * s for s, t in zip(h, above[1])]
+    a[:] = [row for _, row in pivots] + zeros
+    return [c for c, _ in pivots], sign
 
 
-def _add_row(a, u, dst, src, c):
-    # row_dst += c * row_src
-    arow, srow = a[dst], a[src]
-    for j in range(len(arow)):
-        arow[j] += c * srow[j]
-    urow, usrow = u[dst], u[src]
-    for j in range(len(urow)):
-        urow[j] += c * usrow[j]
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _add_col(a, v, dst, src, c):
-    # col_dst += c * col_src
-    for row in a:
-        row[dst] += c * row[src]
-    for row in v:
-        row[dst] += c * row[src]
+def _with_identity(a: Sequence[Sequence[int]]) -> list:
+    """Rows of ``a`` with the identity appended, ready to carry the
+    row transform through :func:`_echelon`."""
+    return [list(row) + e for row, e in zip(a, _identity_rows(len(a)))]
+
+
+def _transpose(a: list) -> list:
+    return [list(col) for col in zip(*a)]
 
 
 def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -170,105 +231,69 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     ``s`` diagonal with ``d1 | d2 | ...``, ``di >= 0``, and ``u``, ``v``
     unimodular.
 
-    Pivoting picks the smallest nonzero absolute value, tie-broken by
-    lowest row then column, so the transforms are reproducible.
+    The echelon form is taken of the matrix and of its transpose in turn
+    until the result is diagonal.  Where a diagonal entry does not
+    divide a later one, the later row is folded into the earlier and the
+    alternation goes on.  ``s`` is unique; ``u`` and ``v`` are
+    reproducible, and all entries stay polynomial in the input size.
     """
     rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        pr = pc = -1
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pr, pc = x, i, j
-        if best is None:
-            break
-        _swap_rows(a, u, t, pr)
-        _swap_cols(a, v, t, pc)
-        while True:
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, u, i, t, -q)
-                    if a[i][t]:
-                        # remainder became the smaller pivot
-                        _swap_rows(a, u, t, i)
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, v, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, v, t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
+    if not rows or not cols:
+        return m, Matrix.identity(rows), Matrix.identity(cols)
+    x, left, right = m.to_lists(), _identity_rows(rows), _identity_rows(cols)
+    flipped = False
+    while True:
+        a = [xr + lr for xr, lr in zip(x, left)]
+        pivots, _ = _echelon(a)
+        x, left = [row[:cols] for row in a], [row[cols:] for row in a]
+        diag = [x[i][c] for i, c in enumerate(pivots) if c < cols]
+        if all(c == i and not any(x[i][i + 1 :]) for i, c in enumerate(pivots[: len(diag)])):
+            bad = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+                        if diag[j] % diag[i]), None)
+            if bad is None:
                 break
-        d = a[t][t]
-        bad = -1
-        for i in range(t + 1, rows):
-            if any(a[i][j] % d for j in range(t + 1, cols)):
-                bad = i
-                break
-        if bad >= 0:
-            # fold the offending row in so the next pass shrinks the pivot
-            _add_row(a, u, t, bad, 1)
-            continue
-        if d < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
-    return Matrix(a, cols=cols), Matrix(u, cols=rows), Matrix(v, cols=cols)
+            i, j = bad
+            x[i] = [p + q for p, q in zip(x[i], x[j])]
+            left[i] = [p + q for p, q in zip(left[i], left[j])]
+        # u*m*v = x  becomes  v^T * m^T * u^T = x^T
+        x, left, right = _transpose(x), _transpose(right), _transpose(left)
+        rows, cols = cols, rows
+        flipped = not flipped
+    if flipped:
+        x, left, right = _transpose(x), _transpose(right), _transpose(left)
+        rows, cols = cols, rows
+    return Matrix(x, cols=cols), Matrix(left, cols=rows), Matrix(right, cols=cols)
 
 
 def rank(m: Matrix) -> int:
-    s, _, _ = snf(m)
-    return sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
+    return len(_echelon(m.to_lists())[0])
 
 
 def det(m: Matrix) -> int:
-    """Determinant of a square matrix by fraction-free (Bareiss) elimination."""
+    """Determinant of a square matrix: the product of the echelon
+    diagonal times the sign of the row transform."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), -1)
-            if piv < 0:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a = m.to_lists()
+    _, sign = _echelon(a)
+    # a singular echelon form ends in a zero row
+    return sign * math.prod(a[i][i] for i in range(m.rows))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
-    Zero columns exactly when ``m`` is injective.
+    Zero columns exactly when ``m`` is injective.  The columns are the
+    rows of the transform that the echelon form of ``m^T`` sends to zero.
     """
-    s, _, v = snf(m)
-    r = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
-    return Matrix.from_columns([v.col(j) for j in range(r, m.cols)], rows=m.cols)
+    a = _with_identity(m.transpose().entries)
+    pivots, _ = _echelon(a)
+    r = sum(1 for c in pivots if c < m.rows)
+    return Matrix.from_columns([row[m.rows :] for row in a[r:]], rows=m.cols)
 
 
 def is_injective(m: Matrix) -> bool:
-    return kernel_basis(m).cols == 0
+    return rank(m) == m.cols
 
 
 # ---------------------------------------------------------------------
@@ -298,86 +323,62 @@ def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = Fa
         yield Matrix([list(flat[i * cols : (i + 1) * cols]) for i in range(rows)], cols=cols)
 
 
-def _independent_rows(columns: list, count: int) -> list:
-    """Indices of the first ``count`` linearly independent rows of the
-    matrix whose columns are given."""
-    if count == 0:
-        return []
-    n = len(columns[0])
-    picked = []
-    reduced: list = []  # echelonized picked rows, as Fraction lists
-    for i in range(n):
-        vec = [Fraction(col[i]) for col in columns]
-        for rvec in reduced:
-            lead = next((k for k, x in enumerate(rvec) if x), None)
-            if lead is not None and vec[lead]:
-                f = vec[lead] / rvec[lead]
-                vec = [x - f * y for x, y in zip(vec, rvec)]
-        if any(vec):
-            picked.append(i)
-            reduced.append(vec)
-            if len(picked) == count:
-                return picked
-    raise ValueError("columns are not linearly independent")
+def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
+    """Integer solutions of ``y @ k = c`` for each row vector ``c`` in
+    ``targets``: ``None`` if some ``c`` has none, else ``(z0s, basis,
+    pivots)`` with the solutions for the ``i``-th target given by
+    ``{z0s[i] + sum p_j * basis[j]}``.
 
-
-def _adjugate(a: list) -> list:
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(a) if k != i]
-            adj[j][i] = (-1) ** (i + j) * det(Matrix(minor, cols=n - 1))
-    return adj
-
-
-def _solve_transposed(k: Matrix, c: Sequence[int]):
-    """Integer solutions of ``y @ k = c`` for a row vector ``y``.
-
-    Returns ``(consistent, z0, basis_cols)`` where the solution set is
-    ``{z0 + sum p_j * basis_cols[j]}``; ``z0``/``basis_cols`` are ``None``
-    when inconsistent.
+    With ``u * k = h`` in echelon form, ``y = w * u`` where ``w * h = c``;
+    ``w`` follows by forward substitution through the pivots of ``h``,
+    its entries past the rank are free, and those rows of ``u`` span the
+    left kernel of ``k``.  The echelon runs on through ``u``, so these
+    basis rows are in echelon form too, with pivot columns ``pivots``.
     """
-    a = k.transpose()  # y*k = c  <=>  a @ y^T = c^T
-    s, u, v = snf(a)
-    w = u.apply(c)
-    r = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
-    y = [0] * a.cols
-    for i in range(r):
-        d = s[i, i]
-        if w[i] % d:
-            return False, None, None
-        y[i] = w[i] // d
-    for i in range(r, a.rows):
-        if w[i]:
-            return False, None, None
-    z0 = v.apply(y)
-    basis = [v.col(j) for j in range(r, a.cols)]
-    return True, z0, basis
+    n, width = k.rows, k.cols
+    a = _with_identity(k.entries)
+    pivots, _ = _echelon(a)
+    r = sum(1 for c in pivots if c < width)
+    z0s = []
+    for c in targets:
+        w = []
+        for j, col in enumerate(pivots[:r]):
+            q, rem = divmod(c[col] - sum(w[i] * a[i][col] for i in range(j)), a[j][col])
+            if rem:
+                return None
+            w.append(q)
+        if any(sum(w[i] * a[i][col] for i in range(r)) != c[col] for col in range(width)):
+            return None
+        z0s.append(tuple(sum(w[j] * a[j][width + i] for j in range(r)) for i in range(n)))
+    return z0s, [tuple(row[width:]) for row in a[r:]], [c - width for c in pivots[r:]]
 
 
-def _row_stream(z0, basis, entry_bound, nonnegative) -> Iterator[tuple]:
+def _box_inverse(basis: list, pivots: list) -> tuple[list, int]:
+    """``(w, d)`` with ``w / d`` the inverse of the echelon ``basis``
+    restricted to its pivot columns, an upper triangular block: ``d`` is
+    the product of the pivots and ``w`` follows by integer
+    back-substitution."""
+    f = len(basis)
+    d = 1
+    for j, c in enumerate(pivots):
+        d *= basis[j][c]
+    w = [[0] * f for _ in range(f)]
+    for col in range(f):
+        for i in range(f - 1, -1, -1):
+            acc = d * (i == col) - sum(basis[i][pivots[l]] * w[l][col] for l in range(i + 1, f))
+            w[i][col] = acc // basis[i][pivots[i]]
+    return w, d
+
+
+def _row_stream(z0, basis, pivots, inverse, entry_bound, nonnegative) -> Iterator[tuple]:
     lo = 0 if nonnegative else -entry_bound
     hi = entry_bound
-
-    def in_box(z):
-        return all(lo <= x <= hi for x in z)
-
-    if not basis:
-        if in_box(z0):
-            yield tuple(z0)
-        return
-    f = len(basis)
-    pivots = _independent_rows(basis, f)
-    sub = [[basis[j][i] for j in range(f)] for i in pivots]
-    d = det(Matrix(sub, cols=f))
-    adj = _adjugate(sub)
-    spans = [max(abs(lo - z0[i]), abs(hi - z0[i])) for i in pivots]
+    # on the pivot coordinates, z - z0 = p * basis gives p = (z - z0) * w / d
+    w, d = inverse
+    spans = [max(abs(lo - z0[c]), abs(hi - z0[c])) for c in pivots]
     ranges = []
-    for j in range(f):
-        bound = sum(abs(adj[j][i]) * spans[i] for i in range(f)) // abs(d)
+    for j in range(len(basis)):
+        bound = sum(abs(w[i][j]) * s for i, s in enumerate(spans)) // d
         ranges.append(range(-bound, bound + 1))
     for p in itertools.product(*ranges):
         z = list(z0)
@@ -386,7 +387,7 @@ def _row_stream(z0, basis, entry_bound, nonnegative) -> Iterator[tuple]:
                 bj = basis[j]
                 for i in range(len(z)):
                     z[i] += pj * bj[i]
-        if in_box(z):
+        if all(lo <= x <= hi for x in z):
             yield tuple(z)
 
 
@@ -413,29 +414,22 @@ class MatrixEqSolutions:
         self.t = t
         self.entry_bound = entry_bound
         self.nonnegative = constraint == "nonnegative"
-        self._rows = []
-        self.consistent = True
-        for i in range(t.rows):
-            ok, z0, basis = _solve_transposed(k, t.row(i))
-            if not ok:
-                self.consistent = False
-                self._rows = []
-                break
-            self._rows.append((z0, basis))
+        solved = _solve_transposed(k, t.entries)
+        self.consistent = solved is not None
+        self._z0s, self._basis, self._pivots = solved or ([], [], [])
+        self._inverse = _box_inverse(self._basis, self._pivots)
 
     def __iter__(self) -> Iterator[Matrix]:
         if not self.consistent:
             return
-        if self.t.rows == 0:
-            yield Matrix([], cols=self.k.rows)
-            return
 
         def rec(i):
-            if i == len(self._rows):
+            if i == len(self._z0s):
                 yield []
                 return
-            z0, basis = self._rows[i]
-            for head in _row_stream(z0, basis, self.entry_bound, self.nonnegative):
+            stream = _row_stream(self._z0s[i], self._basis, self._pivots, self._inverse,
+                                 self.entry_bound, self.nonnegative)
+            for head in stream:
                 for tail in rec(i + 1):
                     yield [list(head)] + tail
 
@@ -445,5 +439,8 @@ class MatrixEqSolutions:
 
 def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: int = 0) -> MatrixEqSolutions:
     """Enumerator for the integer solutions of ``X * k = t`` within an
-    entry bound.  See :class:`MatrixEqSolutions`."""
+    entry bound.  See :class:`MatrixEqSolutions`.
+
+    The order is deterministic, but it follows the lattice basis that
+    the echelon form of ``k`` yields, not the order of the entries."""
     return MatrixEqSolutions(k, t, constraint, entry_bound)

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colim.diagrams import SequenceDiagram, validate
 from colim.matrices import (
     Matrix,
     det,
@@ -39,6 +41,53 @@ def bareiss_rank(m):
     return r
 
 
+def bareiss_det(m):
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Independent oracle: shares no code with the library's echelon kernel.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), -1)
+            if piv < 0:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def seeded_square(rng, n, deficient):
+    """n x n matrix with entries in [-9, 9]; rank-deficient ones have
+    base rows in [-4, 4] and their other rows are sums or differences of
+    two base rows."""
+    if not deficient:
+        return Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n)
+    base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - rng.randint(1, 2))]
+    rows = base + [
+        [x + sign * y for x, y in zip(rng.choice(base), rng.choice(base))]
+        for sign in (rng.choice((1, -1)) for _ in range(n - len(base)))
+    ]
+    rng.shuffle(rows)
+    return Matrix(rows, cols=n)
+
+
+SIZES = [(n, deficient) for n in range(4, 17) for deficient in (False, True)]
+MAX_BITS = 1024
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -46,6 +95,20 @@ small_matrix = st.integers(1, 4).flatmap(
         ).map(Matrix)
     )
 )
+
+
+def assert_snf_contract(m, s, u, v):
+    assert u * m * v == s
+    assert abs(bareiss_det(u)) == 1
+    assert abs(bareiss_det(v)) == 1
+    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (a == 0) <= (b == 0)
+        if a:
+            assert b % a == 0
+    off = [s[i, j] for i in range(s.rows) for j in range(s.cols) if i != j]
+    assert all(x == 0 for x in off)
 
 
 class TestSnf:
@@ -68,17 +131,7 @@ class TestSnf:
     @given(small_matrix)
     def test_reconstruction(self, m):
         s, u, v = snf(m)
-        assert u * m * v == s
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        diag = [s[i, i] for i in range(min(s.rows, s.cols))]
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert (a == 0) <= (b == 0)
-            if a:
-                assert b % a == 0
-        off = [s[i, j] for i in range(s.rows) for j in range(s.cols) if i != j]
-        assert all(x == 0 for x in off)
+        assert_snf_contract(m, s, u, v)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrix)
@@ -90,6 +143,40 @@ class TestSnf:
         s, u, v = snf(m)
         assert u * m * v == s
         assert rank(m) == 0
+
+    @pytest.mark.parametrize("n, deficient", SIZES)
+    def test_large_contract_and_bit_bound(self, n, deficient):
+        rng = random.Random(f"snf:{n}:{deficient}")
+        for _ in range(3):
+            m = seeded_square(rng, n, deficient)
+            s, u, v = snf(m)
+            assert_snf_contract(m, s, u, v)
+            assert sum(1 for i in range(n) if s[i, i]) == bareiss_rank(m)
+            assert max(abs(x).bit_length() for t in (s, u, v) for row in t.entries for x in row) <= MAX_BITS
+
+    @pytest.mark.parametrize("n, deficient", SIZES)
+    def test_large_rank_matches_fraction_free_oracle(self, n, deficient):
+        rng = random.Random(f"rank:{n}:{deficient}")
+        for _ in range(3):
+            m = seeded_square(rng, n, deficient)
+            assert rank(m) == bareiss_rank(m)
+
+
+class TestDet:
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrix)
+    def test_matches_fraction_free_oracle(self, m):
+        if m.rows != m.cols:
+            with pytest.raises(ValueError):
+                det(m)
+        else:
+            assert det(m) == bareiss_det(m)
+
+    @pytest.mark.parametrize("n, deficient", SIZES)
+    def test_large_matches_fraction_free_oracle(self, n, deficient):
+        rng = random.Random(f"det:{n}:{deficient}")
+        m = seeded_square(rng, n, deficient)
+        assert det(m) == bareiss_det(m)
 
 
 class TestKernel:
@@ -114,6 +201,24 @@ class TestKernel:
         for j in range(kb.cols):
             assert m.apply(kb.col(j)) == (0,) * m.rows
         assert m.cols - rank(m) == kb.cols
+
+    @pytest.mark.parametrize("n, deficient", SIZES)
+    def test_large_columns_annihilate(self, n, deficient):
+        rng = random.Random(f"kernel:{n}:{deficient}")
+        for _ in range(3):
+            m = seeded_square(rng, n, deficient)
+            kb = kernel_basis(m)
+            assert kb.rows == n and kb.cols == n - bareiss_rank(m)
+            for j in range(kb.cols):
+                assert m.apply(kb.col(j)) == (0,) * n
+
+    def test_validate_flags_exactly_the_singular_transitions(self):
+        rng = random.Random("validate:8")
+        transitions = [seeded_square(rng, 8, t % 4 == 1) for t in range(12)]
+        singular = {t for t, m in enumerate(transitions, start=1) if bareiss_det(m) == 0}
+        assert singular
+        report = validate(SequenceDiagram("plain", [8] * 13, transitions, True, None))
+        assert report.violations == [f"non-injective transition {t}" for t in sorted(singular)]
 
 
 def brute_solutions(k, t, bound, nonneg):
@@ -157,11 +262,13 @@ class TestSolveMatrixEq:
                 assert x.max_abs() <= 3
 
     def test_matches_brute_force(self, rng):
-        for _ in range(60):
-            kr, kc = rng.randint(1, 2), rng.randint(1, 2)
+        # up to 2x2 unknowns, then 1x3 ones, whose solutions for a row
+        # of t form a lattice of dimension 3 - rank(k), up to 3
+        for k_rows, t_rows in [((1, 2), (1, 2))] * 60 + [((3, 3), (1, 1))] * 40:
+            kr, kc = rng.randint(*k_rows), rng.randint(1, 2)
             k = Matrix([[rng.randint(-3, 3) for _ in range(kc)] for _ in range(kr)], cols=kc)
             t = Matrix([[rng.randint(-3, 3) for _ in range(k.cols)]
-                        for _ in range(rng.randint(1, 2))], cols=k.cols)
+                        for _ in range(rng.randint(*t_rows))], cols=k.cols)
             for constraint, nonneg in (("any", False), ("nonnegative", True)):
                 got = list(solve_matrix_eq(k, t, constraint, 3))
                 assert len(set(got)) == len(got)
