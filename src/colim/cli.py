@@ -57,6 +57,14 @@ def _load_certificate(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _user_call(fn, *args):
+    """``fn(*args)``, reporting its ``ValueError`` as a user error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _default_horizon(seq) -> int:
     if seq.period is not None:
         return max(12, seq.length)
@@ -89,8 +97,8 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     seqA = _load_diagram(args.diagram_a)
     seqB = _load_diagram(args.diagram_b)
-    budget = confluence.SearchBudget(args.depth, args.bound, args.horizon, args.nodes)
-    cert = confluence.search_confluence(seqA, seqB, budget)
+    budget = _user_call(confluence.SearchBudget, args.depth, args.bound, args.horizon, args.nodes)
+    cert = _user_call(confluence.search_confluence, seqA, seqB, budget)
     if cert is None:
         print("status: exhausted")
         print("note: a failed search is not evidence of non-isomorphism; "
@@ -120,10 +128,7 @@ def _cmd_map(args) -> int:
         return EXIT_NEGATIVE
     e = parse_element(args.element)
     direction = confluence.BACKWARD if args.backward else confluence.FORWARD
-    try:
-        image = confluence.induced_map(seqA, seqB, cert, direction, e)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    image = _user_call(confluence.induced_map, seqA, seqB, cert, direction, e)
     print(f"image: {format_element(image)}")
     return EXIT_OK
 
@@ -141,29 +146,21 @@ def _cmd_equal(args) -> int:
     seq = _load_diagram(args.diagram)
     horizon = args.horizon or _default_horizon(seq)
     e1, e2 = parse_element(args.e1), parse_element(args.e2)
-    return _print_trilean(colimit.equal_at(seq, e1, e2, horizon))
+    return _print_trilean(_user_call(colimit.equal_at, seq, e1, e2, horizon))
 
 
 def _cmd_cone(args) -> int:
     seq = _load_diagram(args.diagram)
     horizon = args.horizon or _default_horizon(seq)
     e = parse_element(args.element)
-    try:
-        answer = colimit.cone_member(seq, e, horizon)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _print_trilean(answer)
+    return _print_trilean(_user_call(colimit.cone_member, seq, e, horizon))
 
 
 def _cmd_divisible(args) -> int:
     seq = _load_diagram(args.diagram)
     horizon = args.horizon or _default_horizon(seq)
     e = parse_element(args.element)
-    try:
-        answer = colimit.divisible(seq, e, args.m, horizon)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _print_trilean(answer)
+    return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
 def _print_single_invariants(label: str, seq) -> None:
@@ -268,10 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (CliError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagrams import SequenceDiagram, extend_to, transition
+from .diagrams import SequenceDiagram, transition
 from .matrices import Matrix
 
 
@@ -61,29 +61,21 @@ class Trilean:
         return "no"
 
 
-def _check_element(seq: SequenceDiagram, e: ColimitElement) -> None:
-    if not (1 <= e.stage <= seq.length):
-        raise ValueError(f"stage {e.stage} out of range 1..{seq.length}")
-    if len(e.vec) != seq.ranks[e.stage - 1]:
-        raise ValueError(
-            f"vector length {len(e.vec)} does not match rank "
-            f"{seq.ranks[e.stage - 1]} at stage {e.stage}"
-        )
-
-
-def _prepare(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if seq.period is not None:
-        return extend_to(seq, horizon)
-    if horizon > seq.length:
-        raise ValueError(f"horizon {horizon} beyond truncation of length {seq.length}")
-    return seq
+def _check(seq: SequenceDiagram, last: int, *elements: ColimitElement) -> None:
+    """Reject a ``last`` stage that is neither stored nor covered by the
+    declared period, and element vectors of the wrong length."""
+    seq.rank_at(last)
+    for e in elements:
+        rank = seq.rank_at(e.stage)
+        if len(e.vec) != rank:
+            raise ValueError(
+                f"vector length {len(e.vec)} does not match rank {rank} at stage {e.stage}"
+            )
 
 
 def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitElement:
     """Representative of ``e`` at the later stage ``j``."""
-    _check_element(seq, e)
+    _check(seq, j, e)
     return ColimitElement(j, transition(seq, e.stage, j).apply(e.vec))
 
 
@@ -95,9 +87,7 @@ def equal_at(
     In mono mode disagreement at ``max(stage1, stage2)`` is definitive,
     since injective transitions cannot merge distinct vectors later.
     """
-    seq = _prepare(seq, horizon)
-    _check_element(seq, e1)
-    _check_element(seq, e2)
+    _check(seq, horizon, e1, e2)
     start = max(e1.stage, e2.stage)
     if horizon < start:
         return Trilean.unknown(horizon)
@@ -109,9 +99,8 @@ def equal_at(
         if x1 == x2:
             return Trilean.yes(k)
         if k < horizon:
-            step = seq.transitions[k - 1]
-            x1 = step.apply(x1)
-            x2 = step.apply(x2)
+            step = transition(seq, k, k + 1)
+            x1, x2 = step.apply(x1), step.apply(x2)
     return Trilean.unknown(horizon)
 
 
@@ -125,17 +114,19 @@ def eventual_equalizer(
     """
     if not (1 <= i <= j):
         raise ValueError("need 1 <= i <= j")
-    seq = _prepare(seq, max(horizon, j))
-    if (p.rows, p.cols) != (seq.ranks[j - 1], seq.ranks[i - 1]):
-        raise ValueError(
-            f"p has shape {p.rows}x{p.cols}, expected "
-            f"{seq.ranks[j - 1]}x{seq.ranks[i - 1]}"
-        )
+    _check(seq, max(horizon, j))
+    want = (seq.rank_at(j), seq.rank_at(i))
+    if (p.rows, p.cols) != want:
+        raise ValueError(f"p has shape {p.rows}x{p.cols}, expected {want[0]}x{want[1]}")
+    lhs, rhs = p, transition(seq, i, j)  # a_{j,i0} * p and a_{i,i0} at i0 = j
     if seq.mono_required:
-        return Trilean.yes(j) if p == transition(seq, i, j) else Trilean.no()
+        return Trilean.yes(j) if lhs == rhs else Trilean.no()
     for i0 in range(j, horizon + 1):
-        if transition(seq, j, i0) * p == transition(seq, i, i0):
+        if lhs == rhs:
             return Trilean.yes(i0)
+        if i0 < horizon:
+            step = transition(seq, i0, i0 + 1)
+            lhs, rhs = step * lhs, step * rhs
     return Trilean.unknown(horizon)
 
 
@@ -151,15 +142,15 @@ def factor_through_stage(
     """
     if not images:
         raise ValueError("need at least one image")
-    seq = _prepare(seq, horizon)
-    for e in images:
-        _check_element(seq, e)
+    _check(seq, horizon, *images)
     start = max(e.stage for e in images)
+    cols = [transition(seq, e.stage, start).apply(e.vec) for e in images]
     for i0 in range(start, horizon + 1):
-        cols = [transition(seq, e.stage, i0).apply(e.vec) for e in images]
-        if seq.simplicial and any(x < 0 for c in cols for x in c):
-            continue
-        return i0, Matrix.from_columns(cols, rows=seq.ranks[i0 - 1])
+        if not (seq.simplicial and any(x < 0 for c in cols for x in c)):
+            return i0, Matrix.from_columns(cols, rows=seq.rank_at(i0))
+        if i0 < horizon:
+            step = transition(seq, i0, i0 + 1)
+            cols = [step.apply(c) for c in cols]
     return None
 
 
@@ -168,14 +159,13 @@ def cone_member(seq: SequenceDiagram, e: ColimitElement, horizon: int) -> Trilea
     pushforward within the horizon is entrywise nonnegative."""
     if not seq.simplicial:
         raise ValueError("cone membership is only defined in simplicial mode")
-    seq = _prepare(seq, horizon)
-    _check_element(seq, e)
+    _check(seq, horizon, e)
     x = e.vec
     for k in range(e.stage, horizon + 1):
         if all(v >= 0 for v in x):
             return Trilean.yes(k)
         if k < horizon:
-            x = seq.transitions[k - 1].apply(x)
+            x = transition(seq, k, k + 1).apply(x)
     return Trilean.unknown(horizon)
 
 
@@ -186,12 +176,11 @@ def divisible(
     by a pushforward that is 0 mod ``m`` componentwise."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    seq = _prepare(seq, horizon)
-    _check_element(seq, e)
+    _check(seq, horizon, e)
     x = e.vec
     for k in range(e.stage, horizon + 1):
         if all(v % m == 0 for v in x):
             return Trilean.yes(k)
         if k < horizon:
-            x = seq.transitions[k - 1].apply(x)
+            x = transition(seq, k, k + 1).apply(x)
     return Trilean.unknown(horizon)

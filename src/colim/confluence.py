@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colimit import ColimitElement, Trilean, equal_at
-from .diagrams import SequenceDiagram, extend_to, transition, validate
+from .diagrams import SequenceDiagram, transition, validate
 from .matrices import Matrix, iter_matrices, solve_matrix_eq
 
 FORWARD = "forward"
@@ -85,13 +85,13 @@ def _structural_check(
         if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
             report.fail(f"{name}-indices must be strictly increasing and positive")
             return False
-    if cert.i_indices[-1] > seqA.length or cert.k_indices[-1] > seqB.length:
+    if not (seqA.has_stage(cert.i_indices[-1]) and seqB.has_stage(cert.k_indices[-1])):
         report.fail("certificate stages exceed the diagram truncations")
         return False
     ok = True
     for n in range(m):
         f = cert.f_mats[n]
-        want = (seqB.ranks[cert.k_indices[n] - 1], seqA.ranks[cert.i_indices[n] - 1])
+        want = (seqB.rank_at(cert.k_indices[n]), seqA.rank_at(cert.i_indices[n]))
         if (f.rows, f.cols) != want:
             report.fail(
                 f"f_{n + 1} has shape {f.rows}x{f.cols}, expected {want[0]}x{want[1]}"
@@ -103,11 +103,11 @@ def _structural_check(
     for n in range(len(cert.g_mats)):
         g = cert.g_mats[n]
         if n < m - 1:
-            want = (seqA.ranks[cert.i_indices[n + 1] - 1], seqB.ranks[cert.k_indices[n] - 1])
+            want = (seqA.rank_at(cert.i_indices[n + 1]), seqB.rank_at(cert.k_indices[n]))
             bad = (g.rows, g.cols) != want
         else:
             # trailing g has no stored target stage; only its source is checkable
-            want = (g.rows, seqB.ranks[cert.k_indices[n] - 1])
+            want = (g.rows, seqB.rank_at(cert.k_indices[n]))
             bad = g.cols != want[1]
         if bad:
             report.fail(
@@ -184,8 +184,6 @@ def verify_certificate(
     if seqA.mode != seqB.mode:
         report.fail("diagrams have different modes")
         return report
-    seqA = extend_to(seqA, cert.i_indices[-1]) if seqA.period else seqA
-    seqB = extend_to(seqB, cert.k_indices[-1]) if seqB.period else seqB
     if not _structural_check(seqA, seqB, cert, report):
         return report
     for n in range(cert.depth - 1):
@@ -231,12 +229,11 @@ def induced_map(
     equality.
     """
     if direction == FORWARD:
-        src, idx = seqA, cert.i_indices
+        idx = cert.i_indices
         n = next((n for n, i in enumerate(idx) if i >= e.stage), None)
         if n is None:
             raise ValueError(f"element stage {e.stage} beyond last certificate index {idx[-1]}")
-        src = extend_to(src, idx[n]) if src.period else src
-        vec = cert.f_mats[n].apply(transition(src, e.stage, idx[n]).apply(e.vec))
+        vec = cert.f_mats[n].apply(transition(seqA, e.stage, idx[n]).apply(e.vec))
         return ColimitElement(cert.k_indices[n], vec)
     if direction == BACKWARD:
         idx = cert.k_indices
@@ -245,8 +242,7 @@ def induced_map(
             raise ValueError(
                 f"element stage {e.stage} beyond the backward range of the certificate"
             )
-        src = extend_to(seqB, idx[n]) if seqB.period else seqB
-        vec = cert.g_mats[n].apply(transition(src, e.stage, idx[n]).apply(e.vec))
+        vec = cert.g_mats[n].apply(transition(seqB, e.stage, idx[n]).apply(e.vec))
         return ColimitElement(cert.i_indices[n + 1], vec)
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -310,6 +306,15 @@ class SearchBudget:
             raise ValueError("certificates need depth >= 2")
 
 
+def _composites(seq: SequenceDiagram, i: int, last: int):
+    """``(j, transition(seq, i, j))`` for ``j = i + 1 .. last``, one step at a time."""
+    m = None
+    for j in range(i + 1, last + 1):
+        step = transition(seq, j - 1, j)
+        m = step if m is None else step * m
+        yield j, m
+
+
 class _OutOfNodes(Exception):
     pass
 
@@ -342,23 +347,19 @@ def search_confluence(
         if not bad.ok:
             raise ValueError(f"invalid diagram: {bad.violations[0]}")
     constraint = "nonnegative" if seqA.simplicial else "any"
-    A = extend_to(seqA, budget.stage_horizon) if seqA.period else seqA
-    B = extend_to(seqB, budget.stage_horizon) if seqB.period else seqB
-    ha = min(budget.stage_horizon, A.length)
-    hb = min(budget.stage_horizon, B.length)
+    ha = budget.stage_horizon if seqA.has_stage(budget.stage_horizon) else seqA.length
+    hb = budget.stage_horizon if seqB.has_stage(budget.stage_horizon) else seqB.length
     nodes = _Counter(budget.node_limit)
 
     def extend(i_idx, k_idx, f_mats, g_mats):
         n = len(f_mats)
         if n == budget.depth:
             return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats)
-        for i_next in range(i_idx[-1] + 1, ha + 1):
-            target_a = transition(A, i_idx[-1], i_next)
+        for i_next, target_a in _composites(seqA, i_idx[-1], ha):
             g_sols = solve_matrix_eq(f_mats[-1], target_a, constraint, budget.entry_bound)
             for g in g_sols:
                 nodes.tick()
-                for k_next in range(k_idx[-1] + 1, hb + 1):
-                    target_b = transition(B, k_idx[-1], k_next)
+                for k_next, target_b in _composites(seqB, k_idx[-1], hb):
                     f_sols = solve_matrix_eq(g, target_b, constraint, budget.entry_bound)
                     for f in f_sols:
                         nodes.tick()
@@ -373,7 +374,7 @@ def search_confluence(
         for i1 in range(1, ha + 1):
             for k1 in range(1, hb + 1):
                 for f1 in iter_matrices(
-                    B.ranks[k1 - 1], A.ranks[i1 - 1], budget.entry_bound, seqA.simplicial
+                    seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial
                 ):
                     nodes.tick()
                     found = extend([i1], [k1], [f1], [])

@@ -4,7 +4,9 @@ A diagram stores a finite truncation: stage ranks ``r_1, ..., r_N`` and
 the ``N-1`` transition matrices, where transition ``t`` maps stage ``t``
 to stage ``t+1``.  An optional period declaration asserts that the
 transitions repeat forever after a prefix; that declaration is the only
-way to state knowledge about the infinite tail.
+way to state knowledge about the infinite tail.  Stage and transition
+lookups past the truncation follow the declared period, so every stage
+the period covers is available without building a longer copy.
 """
 
 from __future__ import annotations
@@ -55,6 +57,38 @@ class SequenceDiagram:
     def simplicial(self) -> bool:
         return self.mode == SIMPLICIAL
 
+    def _stored_index(self, t: int, known: Optional[int] = None) -> int:
+        """Index in ``transitions`` of transition ``t`` (0-based: stage
+        ``t + 1`` to ``t + 2``) when the first ``known`` transitions
+        (default: all stored ones) are given: ``t`` itself among them,
+        past them the one the declared period repeats."""
+        known = len(self.transitions) if known is None else known
+        if t < known:
+            return t
+        if self.period is None:
+            raise ValueError(f"stage {t + 2} beyond truncation of length {self.length}")
+        prefix, length = self.period
+        if prefix + length > known:
+            raise ValueError("period declaration is not covered by the stored transitions")
+        return prefix + (t - prefix) % length
+
+    def rank_at(self, i: int) -> int:
+        """Rank of stage ``i`` (1-based), also past the truncation when
+        the declared period covers it."""
+        if i < 1:
+            raise ValueError(f"stage {i} below 1")
+        if i <= self.length:
+            return self.ranks[i - 1]
+        return self.transitions[self._stored_index(i - 2)].rows
+
+    def has_stage(self, i: int) -> bool:
+        """Whether stage ``i`` is stored or covered by the declared period."""
+        try:
+            self.rank_at(i)
+        except ValueError:
+            return False
+        return True
+
 
 @dataclass
 class ValidationReport:
@@ -96,15 +130,15 @@ def validate(seq: SequenceDiagram) -> ValidationReport:
         if seq.mono_required and not is_injective(m):
             report.violations.append(f"non-injective transition {t}")
     if seq.period is not None:
-        prefix, length = seq.period
-        if prefix + length > len(seq.transitions):
+        covered = sum(seq.period)  # prefix + period length
+        if covered > len(seq.transitions):
             report.violations.append(
-                f"period declaration needs transitions up to {prefix + length}, "
+                f"period declaration needs transitions up to {covered}, "
                 f"only {len(seq.transitions)} stored"
             )
         else:
-            for t in range(prefix, len(seq.transitions)):
-                ref = prefix + (t - prefix) % length
+            for t in range(covered, len(seq.transitions)):
+                ref = seq._stored_index(t, covered)
                 if seq.transitions[t] != seq.transitions[ref]:
                     report.violations.append(
                         f"transition {t + 1} breaks the declared period "
@@ -115,45 +149,26 @@ def validate(seq: SequenceDiagram) -> ValidationReport:
 
 def transition(seq: SequenceDiagram, i: int, j: int) -> Matrix:
     """Composite transition from stage ``i`` to stage ``j`` (1-based);
-    the ``i = j`` case is the identity."""
-    if not (1 <= i <= j <= seq.length):
-        raise ValueError(f"stages ({i}, {j}) out of range 1..{seq.length}")
-    m = Matrix.identity(seq.ranks[i - 1])
-    for t in range(i - 1, j - 1):
-        m = seq.transitions[t] * m
+    the ``i = j`` case is the identity and a single step is the stored
+    matrix.  Stages past the truncation follow the declared period."""
+    if not 1 <= i <= j:
+        raise ValueError(f"stages ({i}, {j}) must satisfy 1 <= i <= j")
+    if i == j:
+        return Matrix.identity(seq.rank_at(i))
+    m = seq.transitions[seq._stored_index(i - 1)]
+    for t in range(i, j - 1):
+        m = seq.transitions[seq._stored_index(t)] * m
     return m
-
-
-def extend_to(seq: SequenceDiagram, stages: int) -> SequenceDiagram:
-    """Truncation with at least ``stages`` stages, repeating the declared
-    period; the period declaration is preserved.  Errors when the tail is
-    undeclared."""
-    if stages <= seq.length:
-        return seq
-    if seq.period is None:
-        raise ValueError(f"stage {stages} beyond truncation of length {seq.length}")
-    prefix, length = seq.period
-    if prefix + length > len(seq.transitions):
-        raise ValueError("period declaration is not covered by the stored transitions")
-    transitions = list(seq.transitions)
-    ranks = list(seq.ranks)
-    while len(ranks) < stages:
-        t = len(transitions)
-        ref = prefix + (t - prefix) % length
-        m = transitions[ref]
-        transitions.append(m)
-        ranks.append(m.rows)
-    return SequenceDiagram(seq.mode, ranks, transitions, seq.mono_required, seq.period)
 
 
 def unroll(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
     """Non-periodic diagram of length ``horizon`` repeating the declared
-    period; identity on non-periodic input with ``horizon == length``."""
+    period; identity on non-periodic input with ``horizon == length``,
+    an error past an undeclared tail."""
     if horizon < seq.length:
         raise ValueError(f"horizon {horizon} below current length {seq.length}")
-    if seq.period is None:
-        if horizon != seq.length:
-            raise ValueError("cannot unroll a diagram without a period declaration")
+    if seq.period is None and horizon == seq.length:
         return seq
-    ext = extend_to(seq, horizon)
-    return SequenceDiagram(ext.mode, ext.ranks, ext.transitions, ext.mono_required, None)
+    ranks = [seq.rank_at(i) for i in range(1, horizon + 1)]
+    transitions = [seq.transitions[seq._stored_index(t)] for t in range(horizon - 1)]
+    return SequenceDiagram(seq.mode, ranks, transitions, seq.mono_required, None)

@@ -113,12 +113,11 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
             )
-        ot = other.transpose()
+        if not other.rows:  # zip(*()) yields no columns at all
+            return Matrix.zero(self.rows, other.cols)
+        ocols = tuple(zip(*other.entries))
         return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, ocol)) for ocol in ot.entries]
-                for row in self.entries
-            ],
+            [[sum(a * b for a, b in zip(row, ocol)) for ocol in ocols] for row in self.entries],
             cols=other.cols,
         )
 

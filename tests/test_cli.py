@@ -1,3 +1,6 @@
+import pytest
+
+from colim import confluence
 from colim.cli import main
 
 from conftest import FIXTURES
@@ -32,6 +35,25 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no_such_file.diag")
         assert code == 2
         assert "error:" in err
+
+    def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(confluence, "verify_certificate", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["verify", X2, X4, X2_X4])
+        assert "error:" not in capsys.readouterr().err
+
+    def test_bad_search_budget_is_a_user_error(self, capsys):
+        code, _, err = run(capsys, "search", X2, X4, "--depth", "1")
+        assert code == 2
+        assert "error: certificates need depth >= 2" in err
+
+    def test_bad_equal_query_is_a_user_error(self, capsys):
+        code, _, err = run(capsys, "equal", X2, "--e1", "1:1,2", "--e2", "1:1")
+        assert code == 2
+        assert "error: vector length" in err
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "equal", str(FIXTURES / "bad_float.diag"),

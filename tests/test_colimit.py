@@ -51,6 +51,11 @@ class TestEqualAt:
             e2 = ColimitElement(2, [rng.randint(-2, 2) for _ in range(seq.ranks[1])])
             assert equal_at(seq, e1, e2, 4) == equal_at(seq, e2, e1, 4)
 
+    def test_pushforward_past_stored_stages(self):
+        # X2 stores stages 1..3; the period (0, 1) supplies the rest
+        assert pushforward(X2, ColimitElement(1, (1,)), 5) == ColimitElement(5, (16,))
+        assert pushforward(FIB, ColimitElement(2, (1, 0)), 4) == ColimitElement(4, (2, 1))
+
     def test_vector_length_checked(self):
         with pytest.raises(ValueError):
             equal_at(X2, ColimitElement(1, [1, 2]), ColimitElement(1, [1]), 2)

@@ -13,7 +13,7 @@ from colim.confluence import (
     truncate_certificate,
     verify_certificate,
 )
-from colim.diagrams import SequenceDiagram, extend_to, transition
+from colim.diagrams import SequenceDiagram, transition
 from colim.matrices import Matrix
 
 from conftest import random_matrix, rank1
@@ -30,12 +30,11 @@ X2_X4_CERT = ConfluenceCertificate(
 
 def self_certificate(seq, depth):
     """Identity interleaving: f_n = id, g_n = the n-th transition."""
-    seq = extend_to(seq, depth)
     return ConfluenceCertificate(
         range(1, depth + 1),
         range(1, depth + 1),
-        [Matrix.identity(seq.ranks[n]) for n in range(depth)],
-        [seq.transitions[n] for n in range(depth - 1)],
+        [transition(seq, n, n) for n in range(1, depth + 1)],
+        [transition(seq, n, n + 1) for n in range(1, depth)],
     )
 
 

@@ -298,3 +298,9 @@ def test_matrix_rejects_non_integers():
         Matrix([[1.5]])
     with pytest.raises(ValueError):
         Matrix([[True]])
+
+
+def test_product_with_zero_inner_dimension():
+    assert Matrix.zero(3, 0) * Matrix.zero(0, 2) == Matrix.zero(3, 2)
+    assert Matrix.zero(0, 2) * Matrix.zero(2, 4) == Matrix.zero(0, 4)
+    assert Matrix.zero(2, 0) * Matrix.zero(0, 0) == Matrix.zero(2, 0)
