@@ -43,6 +43,13 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_diagram(path: str, check: bool = True):
     try:
         return parse_diagram(_read(path), check=check)
@@ -65,7 +72,11 @@ def _user_call(fn, *args):
         raise CliError(str(exc)) from None
 
 
-def _default_horizon(seq) -> int:
+def _horizon(args, seq) -> int:
+    """``--horizon`` if given, else a default that reaches past the
+    stored stages of a periodic diagram."""
+    if args.horizon is not None:
+        return args.horizon
     if seq.period is not None:
         return max(12, seq.length)
     return seq.length
@@ -109,7 +120,7 @@ def _cmd_search(args) -> int:
     print(f"i_indices: {','.join(str(i) for i in cert.i_indices)}")
     print(f"k_indices: {','.join(str(k) for k in cert.k_indices)}")
     if args.emit:
-        Path(args.emit).write_text(emit_certificate(cert), encoding="utf-8")
+        _write(args.emit, emit_certificate(cert))
         print(f"emitted: {args.emit}")
     else:
         sys.stdout.write(emit_certificate(cert))
@@ -144,21 +155,21 @@ def _print_trilean(answer) -> int:
 
 def _cmd_equal(args) -> int:
     seq = _load_diagram(args.diagram)
-    horizon = args.horizon or _default_horizon(seq)
+    horizon = _horizon(args, seq)
     e1, e2 = parse_element(args.e1), parse_element(args.e2)
     return _print_trilean(_user_call(colimit.equal_at, seq, e1, e2, horizon))
 
 
 def _cmd_cone(args) -> int:
     seq = _load_diagram(args.diagram)
-    horizon = args.horizon or _default_horizon(seq)
+    horizon = _horizon(args, seq)
     e = parse_element(args.element)
     return _print_trilean(_user_call(colimit.cone_member, seq, e, horizon))
 
 
 def _cmd_divisible(args) -> int:
     seq = _load_diagram(args.diagram)
-    horizon = args.horizon or _default_horizon(seq)
+    horizon = _horizon(args, seq)
     e = parse_element(args.element)
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 

@@ -16,6 +16,7 @@ evidence of non-isomorphism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -306,13 +307,27 @@ class SearchBudget:
             raise ValueError("certificates need depth >= 2")
 
 
-def _composites(seq: SequenceDiagram, i: int, last: int):
-    """``(j, transition(seq, i, j))`` for ``j = i + 1 .. last``, one step at a time."""
-    m = None
-    for j in range(i + 1, last + 1):
-        step = transition(seq, j - 1, j)
-        m = step if m is None else step * m
-        yield j, m
+def _composites(seq: SequenceDiagram, last: int):
+    """A function that iterates ``(j, transition(seq, i, j))`` for
+    ``j = i + 1 .. last``.
+
+    The list for each start stage ``i`` is built one step at a time, as
+    far as some iteration has read it, and kept for the next one.
+    """
+    built: dict = {}
+
+    def from_stage(i: int):
+        done = built.setdefault(i, [])
+        for n in itertools.count():
+            if n == len(done):
+                j = i + 1 + n
+                if j > last:
+                    return
+                step = transition(seq, j - 1, j)
+                done.append((j, step * done[-1][1] if done else step))
+            yield done[n]
+
+    return from_stage
 
 
 class _OutOfNodes(Exception):
@@ -350,16 +365,17 @@ def search_confluence(
     ha = budget.stage_horizon if seqA.has_stage(budget.stage_horizon) else seqA.length
     hb = budget.stage_horizon if seqB.has_stage(budget.stage_horizon) else seqB.length
     nodes = _Counter(budget.node_limit)
+    composites_a, composites_b = _composites(seqA, ha), _composites(seqB, hb)
 
     def extend(i_idx, k_idx, f_mats, g_mats):
         n = len(f_mats)
         if n == budget.depth:
             return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats)
-        for i_next, target_a in _composites(seqA, i_idx[-1], ha):
+        for i_next, target_a in composites_a(i_idx[-1]):
             g_sols = solve_matrix_eq(f_mats[-1], target_a, constraint, budget.entry_bound)
             for g in g_sols:
                 nodes.tick()
-                for k_next, target_b in _composites(seqB, k_idx[-1], hb):
+                for k_next, target_b in composites_b(k_idx[-1]):
                     f_sols = solve_matrix_eq(g, target_b, constraint, budget.entry_bound)
                     for f in f_sols:
                         nodes.tick()

@@ -215,12 +215,6 @@ def _identity_rows(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _with_identity(a: Sequence[Sequence[int]]) -> list:
-    """Rows of ``a`` with the identity appended, ready to carry the
-    row transform through :func:`_echelon`."""
-    return [list(row) + e for row, e in zip(a, _identity_rows(len(a)))]
-
-
 def _transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
 
@@ -283,12 +277,10 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
     Zero columns exactly when ``m`` is injective.  The columns are the
-    rows of the transform that the echelon form of ``m^T`` sends to zero.
+    left-kernel basis of ``m^T`` that :func:`_solve_transposed` finds.
     """
-    a = _with_identity(m.transpose().entries)
-    pivots, _ = _echelon(a)
-    r = sum(1 for c in pivots if c < m.rows)
-    return Matrix.from_columns([row[m.rows :] for row in a[r:]], rows=m.cols)
+    _, basis, _ = _solve_transposed(m.transpose(), [])
+    return Matrix.from_columns(basis, rows=m.cols)
 
 
 def is_injective(m: Matrix) -> bool:
@@ -335,7 +327,7 @@ def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
     basis rows are in echelon form too, with pivot columns ``pivots``.
     """
     n, width = k.rows, k.cols
-    a = _with_identity(k.entries)
+    a = [list(row) + e for row, e in zip(k.entries, _identity_rows(n))]
     pivots, _ = _echelon(a)
     r = sum(1 for c in pivots if c < width)
     z0s = []
@@ -352,48 +344,44 @@ def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
     return z0s, [tuple(row[width:]) for row in a[r:]], [c - width for c in pivots[r:]]
 
 
-def _box_inverse(basis: list, pivots: list) -> tuple[list, int]:
-    """``(w, d)`` with ``w / d`` the inverse of the echelon ``basis``
-    restricted to its pivot columns, an upper triangular block: ``d`` is
-    the product of the pivots and ``w`` follows by integer
-    back-substitution."""
-    f = len(basis)
-    d = 1
-    for j, c in enumerate(pivots):
-        d *= basis[j][c]
-    w = [[0] * f for _ in range(f)]
-    for col in range(f):
-        for i in range(f - 1, -1, -1):
-            acc = d * (i == col) - sum(basis[i][pivots[l]] * w[l][col] for l in range(i + 1, f))
-            w[i][col] = acc // basis[i][pivots[i]]
-    return w, d
+def _row_stream(z0, basis, pivots, entry_bound, nonnegative) -> Iterator[tuple]:
+    """The vectors ``z0 + sum p_j * basis[j]`` with every entry in the box,
+    in lexicographic order of ``(p_0, p_1, ...)``.
 
-
-def _row_stream(z0, basis, pivots, inverse, entry_bound, nonnegative) -> Iterator[tuple]:
+    The basis is in echelon form with positive pivots, and row ``j`` is
+    the last row that is nonzero at its pivot column ``c``.  So once
+    ``p_0 .. p_(j-1)`` are fixed and ``s`` is the partial sum at ``c``,
+    the box at ``c`` gives ``p_j`` its exact range; a leaf check covers
+    the columns that are no pivot.
+    """
     lo = 0 if nonnegative else -entry_bound
     hi = entry_bound
-    # on the pivot coordinates, z - z0 = p * basis gives p = (z - z0) * w / d
-    w, d = inverse
-    spans = [max(abs(lo - z0[c]), abs(hi - z0[c])) for c in pivots]
-    ranges = []
-    for j in range(len(basis)):
-        bound = sum(abs(w[i][j]) * s for i, s in enumerate(spans)) // d
-        ranges.append(range(-bound, bound + 1))
-    for p in itertools.product(*ranges):
-        z = list(z0)
-        for j, pj in enumerate(p):
-            if pj:
-                bj = basis[j]
-                for i in range(len(z)):
-                    z[i] += pj * bj[i]
-        if all(lo <= x <= hi for x in z):
-            yield tuple(z)
+
+    def walk(j, z):
+        if j == len(basis):
+            if all(lo <= x <= hi for x in z):
+                yield tuple(z)
+            return
+        row, c = basis[j], pivots[j]
+        s, d = z[c], row[c]
+        for p in range(-((s - lo) // d), (hi - s) // d + 1):
+            yield from walk(j + 1, [x + p * b for x, b in zip(z, row)])
+
+    return walk(0, list(z0))
 
 
 class MatrixEqSolutions:
     """Lazy, deterministic enumeration of every integer matrix ``X`` with
     ``X * k = t`` and entries in ``[-entry_bound, entry_bound]`` (or
     ``[0, entry_bound]`` under the nonnegative constraint).
+
+    The solutions of one row of ``t`` are ``z0 + sum p_j * basis[j]``
+    over the Hermite basis of the left kernel of ``k``; they come in
+    lexicographic order of ``(p_0, p_1, ...)``, which is the
+    lexicographic order of their entries at the basis pivot columns.
+    Matrices come in lexicographic order of their rows' positions in
+    those streams, first row outermost.  When iteration starts, each
+    row's stream is materialised in full.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -416,23 +404,13 @@ class MatrixEqSolutions:
         solved = _solve_transposed(k, t.entries)
         self.consistent = solved is not None
         self._z0s, self._basis, self._pivots = solved or ([], [], [])
-        self._inverse = _box_inverse(self._basis, self._pivots)
 
     def __iter__(self) -> Iterator[Matrix]:
         if not self.consistent:
             return
-
-        def rec(i):
-            if i == len(self._z0s):
-                yield []
-                return
-            stream = _row_stream(self._z0s[i], self._basis, self._pivots, self._inverse,
-                                 self.entry_bound, self.nonnegative)
-            for head in stream:
-                for tail in rec(i + 1):
-                    yield [list(head)] + tail
-
-        for rows in rec(0):
+        streams = [_row_stream(z0, self._basis, self._pivots, self.entry_bound, self.nonnegative)
+                   for z0 in self._z0s]
+        for rows in itertools.product(*streams):
             yield Matrix(rows, cols=self.k.rows)
 
 
@@ -440,6 +418,8 @@ def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: 
     """Enumerator for the integer solutions of ``X * k = t`` within an
     entry bound.  See :class:`MatrixEqSolutions`.
 
-    The order is deterministic, but it follows the lattice basis that
-    the echelon form of ``k`` yields, not the order of the entries."""
+    The order is deterministic: each row's solutions come in
+    lexicographic order of their coordinates along the Hermite basis of
+    the left kernel of ``k``, not in the order of the entries.  Each
+    row's stream is materialised when iteration starts."""
     return MatrixEqSolutions(k, t, constraint, entry_bound)

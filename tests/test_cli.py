@@ -89,6 +89,13 @@ class TestSearch:
         code, out, _ = run(capsys, "verify", X2, X4, str(out_file))
         assert code == 0
 
+    def test_emit_to_unwritable_path_is_a_user_error(self, capsys, tmp_path):
+        path = tmp_path / "no_such_dir" / "found.cert"
+        code, _, err = run(capsys, "search", X2, X4, "--emit", str(path))
+        assert code == 2
+        assert f"error: cannot write {path}" in err
+        assert "Traceback" not in err
+
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(capsys, "search", X2, X3, "--depth", "3", "--bound", "8",
                            "--horizon", "12")
@@ -127,6 +134,17 @@ class TestMapAndQueries:
                            "--horizon", "6")
         assert code == 0
         assert "answer: yes" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("equal", X2, "--e1", "1:1", "--e2", "2:2"),
+        ("cone", FIB, "--element", "1:1,-1"),
+        ("divisible", X2, "--element", "1:1", "--m", "2"),
+    ])
+    def test_horizon_zero_is_a_user_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--horizon", "0")
+        assert code == 2
+        assert out == []
+        assert "error: stage 0 below 1" in err
 
 
 class TestInvariants:

@@ -17,6 +17,8 @@ from colim.matrices import (
     solve_matrix_eq,
 )
 
+from conftest import random_matrix
+
 
 def bareiss_rank(m):
     """Rank over the rationals by fraction-free Gaussian elimination.
@@ -232,6 +234,31 @@ def brute_solutions(k, t, bound, nonneg):
     return out
 
 
+def rank_deficient_systems(rng, count):
+    """``count`` systems ``(k, t, bound)`` with a rank-deficient ``k`` of
+    3 or 4 rows and up to 3 columns, a 1-row ``t`` and a bound in 0..3,
+    whose solution lattices have dimension 2 or 3.  Half the targets are
+    ``x0 * k`` for an ``x0`` within the bound, so that the enumeration
+    is not empty."""
+    out = []
+    while len(out) < count:
+        n, w = rng.randint(3, 4), rng.randint(1, 3)
+        inner = rng.randint(1, 2)
+        k = random_matrix(rng, n, inner, 3) * random_matrix(rng, inner, w, 3)
+        if not 2 <= n - rank(k) <= 3:
+            continue
+        bound = rng.randint(0, 3)
+        t = random_matrix(rng, 1, n, bound) * k if len(out) % 2 else random_matrix(rng, 1, w, 4)
+        out.append((k, t, bound))
+    return out
+
+
+def pivot_columns(k):
+    """Leading column of each row of the left-kernel basis of ``k``."""
+    basis = kernel_basis(k.transpose()).transpose()
+    return [next(c for c, x in enumerate(row) if x) for row in basis.entries]
+
+
 class TestSolveMatrixEq:
     def test_forced(self):
         sols = solve_matrix_eq(Matrix([[2]]), Matrix([[4]]), "nonnegative", 10)
@@ -264,15 +291,34 @@ class TestSolveMatrixEq:
     def test_matches_brute_force(self, rng):
         # up to 2x2 unknowns, then 1x3 ones, whose solutions for a row
         # of t form a lattice of dimension 3 - rank(k), up to 3
+        # and rank-deficient 3- and 4-row ones with bounds 0..3
+        systems = []
         for k_rows, t_rows in [((1, 2), (1, 2))] * 60 + [((3, 3), (1, 1))] * 40:
             kr, kc = rng.randint(*k_rows), rng.randint(1, 2)
             k = Matrix([[rng.randint(-3, 3) for _ in range(kc)] for _ in range(kr)], cols=kc)
             t = Matrix([[rng.randint(-3, 3) for _ in range(k.cols)]
                         for _ in range(rng.randint(*t_rows))], cols=k.cols)
+            systems.append((k, t, 3))
+        for k, t, bound in systems + rank_deficient_systems(rng, 30):
             for constraint, nonneg in (("any", False), ("nonnegative", True)):
-                got = list(solve_matrix_eq(k, t, constraint, 3))
+                got = list(solve_matrix_eq(k, t, constraint, bound))
                 assert len(set(got)) == len(got)
-                assert set(got) == brute_solutions(k, t, 3, nonneg)
+                assert set(got) == brute_solutions(k, t, bound, nonneg)
+
+    def test_order_is_lexicographic_at_pivot_columns(self, rng):
+        # the walk is triangular with positive pivots, so its order of
+        # lattice coordinates is the order of the entries at the pivots
+        nonempty = 0
+        for k, t, bound in rank_deficient_systems(rng, 40):
+            pivots = pivot_columns(k)
+            assert 2 <= len(pivots) <= 3
+            for constraint, nonneg in (("any", False), ("nonnegative", True)):
+                got = list(solve_matrix_eq(k, t, constraint, bound))
+                keys = [tuple(x.row(0)[c] for c in pivots) for x in got]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert set(got) == brute_solutions(k, t, bound, nonneg)
+                nonempty += bool(got)
+        assert nonempty >= 40
 
     def test_deterministic_order(self):
         k = Matrix([[1], [1]])
