@@ -115,12 +115,14 @@ def _cmd_search(args) -> int:
         print("note: a failed search is not evidence of non-isomorphism; "
               "run `colim invariants` for negative evidence")
         return EXIT_EXHAUSTED
+    if args.emit:
+        # written before any report line, so a failed write reports nothing found
+        _write(args.emit, emit_certificate(cert))
     print("status: found")
     print(f"depth: {cert.depth}")
     print(f"i_indices: {','.join(str(i) for i in cert.i_indices)}")
     print(f"k_indices: {','.join(str(k) for k in cert.k_indices)}")
     if args.emit:
-        _write(args.emit, emit_certificate(cert))
         print(f"emitted: {args.emit}")
     else:
         sys.stdout.write(emit_certificate(cert))

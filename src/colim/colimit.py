@@ -73,6 +73,16 @@ def _check(seq: SequenceDiagram, last: int, *elements: ColimitElement) -> None:
             )
 
 
+def _walk(seq: SequenceDiagram, start: int, vecs: list, horizon: int):
+    """Yield ``(k, vecs pushed forward to stage k)`` for ``k = start ..
+    horizon``, taking each step only when the caller asks for it."""
+    for k in range(start, horizon + 1):
+        yield k, vecs
+        if k < horizon:
+            step = transition(seq, k, k + 1)
+            vecs = [step.apply(v) for v in vecs]
+
+
 def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitElement:
     """Representative of ``e`` at the later stage ``j``."""
     _check(seq, j, e)
@@ -91,16 +101,12 @@ def equal_at(
     start = max(e1.stage, e2.stage)
     if horizon < start:
         return Trilean.unknown(horizon)
-    x1 = transition(seq, e1.stage, start).apply(e1.vec)
-    x2 = transition(seq, e2.stage, start).apply(e2.vec)
+    xs = [transition(seq, e.stage, start).apply(e.vec) for e in (e1, e2)]
     if seq.mono_required:
-        return Trilean.yes(start) if x1 == x2 else Trilean.no()
-    for k in range(start, horizon + 1):
+        return Trilean.yes(start) if xs[0] == xs[1] else Trilean.no()
+    for k, (x1, x2) in _walk(seq, start, xs, horizon):
         if x1 == x2:
             return Trilean.yes(k)
-        if k < horizon:
-            step = transition(seq, k, k + 1)
-            x1, x2 = step.apply(x1), step.apply(x2)
     return Trilean.unknown(horizon)
 
 
@@ -118,15 +124,14 @@ def eventual_equalizer(
     want = (seq.rank_at(j), seq.rank_at(i))
     if (p.rows, p.cols) != want:
         raise ValueError(f"p has shape {p.rows}x{p.cols}, expected {want[0]}x{want[1]}")
-    lhs, rhs = p, transition(seq, i, j)  # a_{j,i0} * p and a_{i,i0} at i0 = j
+    a_ij = transition(seq, i, j)
     if seq.mono_required:
-        return Trilean.yes(j) if lhs == rhs else Trilean.no()
-    for i0 in range(j, horizon + 1):
-        if lhs == rhs:
+        return Trilean.yes(j) if p == a_ij else Trilean.no()
+    # the columns of a_{j,i0} * p, then those of a_{i,i0}
+    cols = [m.col(c) for m in (p, a_ij) for c in range(m.cols)]
+    for i0, pushed in _walk(seq, j, cols, horizon):
+        if pushed[: p.cols] == pushed[p.cols :]:
             return Trilean.yes(i0)
-        if i0 < horizon:
-            step = transition(seq, i0, i0 + 1)
-            lhs, rhs = step * lhs, step * rhs
     return Trilean.unknown(horizon)
 
 
@@ -145,12 +150,9 @@ def factor_through_stage(
     _check(seq, horizon, *images)
     start = max(e.stage for e in images)
     cols = [transition(seq, e.stage, start).apply(e.vec) for e in images]
-    for i0 in range(start, horizon + 1):
-        if not (seq.simplicial and any(x < 0 for c in cols for x in c)):
-            return i0, Matrix.from_columns(cols, rows=seq.rank_at(i0))
-        if i0 < horizon:
-            step = transition(seq, i0, i0 + 1)
-            cols = [step.apply(c) for c in cols]
+    for i0, pushed in _walk(seq, start, cols, horizon):
+        if not (seq.simplicial and any(x < 0 for c in pushed for x in c)):
+            return i0, Matrix.from_columns(pushed, rows=seq.rank_at(i0))
     return None
 
 
@@ -160,12 +162,9 @@ def cone_member(seq: SequenceDiagram, e: ColimitElement, horizon: int) -> Trilea
     if not seq.simplicial:
         raise ValueError("cone membership is only defined in simplicial mode")
     _check(seq, horizon, e)
-    x = e.vec
-    for k in range(e.stage, horizon + 1):
+    for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
         if all(v >= 0 for v in x):
             return Trilean.yes(k)
-        if k < horizon:
-            x = transition(seq, k, k + 1).apply(x)
     return Trilean.unknown(horizon)
 
 
@@ -177,10 +176,7 @@ def divisible(
     if m < 1:
         raise ValueError("modulus must be >= 1")
     _check(seq, horizon, e)
-    x = e.vec
-    for k in range(e.stage, horizon + 1):
+    for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
         if all(v % m == 0 for v in x):
             return Trilean.yes(k)
-        if k < horizon:
-            x = transition(seq, k, k + 1).apply(x)
     return Trilean.unknown(horizon)

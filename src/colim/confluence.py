@@ -1,17 +1,18 @@
 """Confluence certificates: verification, induced maps, and bounded search.
 
-A certificate interleaves two sequences with maps ``f_n`` (A to B) and
-``g_n`` (B to A) at strictly increasing stage indices, subject to the
-exact matrix identities
+A certificate is one back-and-forth chain between two sequences,
 
-    g_n * f_n     = transition_A(i_n, i_{n+1})
-    f_{n+1} * g_n = transition_B(k_n, k_{n+1})
+    A_{i_1} --f_1--> B_{k_1} --g_1--> A_{i_2} --f_2--> B_{k_2} --> ...
 
-A verified certificate induces mutually inverse maps between the two
-colimit groups, so it is a proof of isomorphism.  The search is a
-depth-first back-and-forth construction; it is sound unconditionally but
-complete only relative to its budget, so a failed search is never
-evidence of non-isomorphism.
+with strictly increasing stage indices on each side, in which every two
+consecutive maps compose to a transition: ``g_n * f_n = a_{i_n, i_{n+1}}``
+and ``f_{n+1} * g_n = b_{k_n, k_{n+1}}``.  Verification, induced maps,
+round trips and the search each walk this chain once, position by
+position; the side of a position is its parity.  A verified certificate
+induces mutually inverse maps between the two colimit groups, so it is a
+proof of isomorphism.  The search is a depth-first back-and-forth
+construction; it is sound unconditionally but complete only relative to
+its budget, so a failed search is never evidence of non-isomorphism.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .colimit import ColimitElement, Trilean, equal_at
+from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, transition, validate
-from .matrices import Matrix, iter_matrices, solve_matrix_eq
+from .matrices import iter_matrices, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -51,6 +52,13 @@ class ConfluenceCertificate:
         object.__setattr__(self, "k_indices", tuple(int(k) for k in self.k_indices))
         object.__setattr__(self, "f_mats", tuple(self.f_mats))
         object.__setattr__(self, "g_mats", tuple(self.g_mats))
+        # One private view of the chain A_{i_1} -> B_{k_1} -> A_{i_2} -> ...,
+        # not a field: stages i_1, k_1, i_2, ... and maps f_1, g_1, f_2, ...
+        # Map p leaves node p (of A for even p, of B for odd p) for node
+        # p + 1; a trailing g_m leaves the last node.
+        stages = tuple(itertools.chain.from_iterable(zip(self.i_indices, self.k_indices)))
+        maps = itertools.chain.from_iterable(zip(self.f_mats, self.g_mats))
+        object.__setattr__(self, "_chain", (stages, (*maps, *self.f_mats[len(self.g_mats):])))
 
     @property
     def depth(self) -> int:
@@ -67,6 +75,11 @@ class VerifyReport:
     def fail(self, message: str) -> None:
         self.accepted = False
         self.failures.append(message)
+
+
+def _name(p: int) -> str:
+    """Name of the map at chain position ``p``: ``f_n`` or ``g_n``."""
+    return f"{'fg'[p % 2]}_{p // 2 + 1}"
 
 
 def _structural_check(
@@ -86,88 +99,56 @@ def _structural_check(
         if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
             report.fail(f"{name}-indices must be strictly increasing and positive")
             return False
-    if not (seqA.has_stage(cert.i_indices[-1]) and seqB.has_stage(cert.k_indices[-1])):
+    seqs, (stages, maps) = (seqA, seqB), cert._chain
+    if not all(seqs[q].has_stage(s) for q, s in enumerate(stages[-2:])):
         report.fail("certificate stages exceed the diagram truncations")
         return False
+    ranks = [seqs[p % 2].rank_at(s) for p, s in enumerate(stages)]
     ok = True
-    for n in range(m):
-        f = cert.f_mats[n]
-        want = (seqB.rank_at(cert.k_indices[n]), seqA.rank_at(cert.i_indices[n]))
-        if (f.rows, f.cols) != want:
-            report.fail(
-                f"f_{n + 1} has shape {f.rows}x{f.cols}, expected {want[0]}x{want[1]}"
-            )
+    # report order: all f_n, then all g_n
+    for p in [*range(0, len(maps), 2), *range(1, len(maps), 2)]:
+        h = maps[p]
+        # the trailing g has no stored target stage; only its source is checkable
+        rows = ranks[p + 1] if p + 1 < len(ranks) else h.rows
+        if (h.rows, h.cols) != (rows, ranks[p]):
+            report.fail(f"{_name(p)} has shape {h.rows}x{h.cols}, expected {rows}x{ranks[p]}")
             ok = False
-        elif seqA.simplicial and not f.is_nonnegative():
-            report.fail(f"f_{n + 1} has a negative entry in simplicial mode")
-            ok = False
-    for n in range(len(cert.g_mats)):
-        g = cert.g_mats[n]
-        if n < m - 1:
-            want = (seqA.rank_at(cert.i_indices[n + 1]), seqB.rank_at(cert.k_indices[n]))
-            bad = (g.rows, g.cols) != want
-        else:
-            # trailing g has no stored target stage; only its source is checkable
-            want = (g.rows, seqB.rank_at(cert.k_indices[n]))
-            bad = g.cols != want[1]
-        if bad:
-            report.fail(
-                f"g_{n + 1} has shape {g.rows}x{g.cols}, expected {want[0]}x{want[1]}"
-            )
-            ok = False
-        elif seqA.simplicial and not g.is_nonnegative():
-            report.fail(f"g_{n + 1} has a negative entry in simplicial mode")
+        elif seqA.simplicial and not h.is_nonnegative():
+            report.fail(f"{_name(p)} has a negative entry in simplicial mode")
             ok = False
     return ok
 
 
-def _periodic_check(
-    seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate, report: VerifyReport
-) -> None:
-    """Decide whether the stored prefix really determines an infinite
-    certificate: the maps must repeat, the index steps must be constant
-    multiples of the diagram periods, and all stages must lie beyond the
-    diagram prefixes."""
-    per = cert.periodic
-    report.periodic_accepted = False
-    if seqA.period is None or seqB.period is None:
-        report.notes.append("periodic claim rejected: both diagrams need period declarations")
-        return
-    L = per.period_len
-    if L < 1 or cert.depth < L + 1 or len(cert.g_mats) < L:
-        report.notes.append("periodic claim rejected: stored prefix shorter than one period")
-        return
-    pa, la = seqA.period
-    pb, lb = seqB.period
-    if per.index_step_a % la or per.index_step_b % lb:
-        report.notes.append(
-            "periodic claim rejected: index steps are not multiples of the diagram periods"
-        )
-        return
-    if cert.i_indices[0] <= pa or cert.k_indices[0] <= pb:
-        report.notes.append("periodic claim rejected: certificate stages inside the diagram prefixes")
-        return
-    steps_a = [b - a for a, b in zip(cert.i_indices, cert.i_indices[1:])]
-    steps_b = [b - a for a, b in zip(cert.k_indices, cert.k_indices[1:])]
-    if sum(steps_a[:L]) != per.index_step_a or sum(steps_b[:L]) != per.index_step_b:
-        report.notes.append("periodic claim rejected: declared index steps do not match the prefix")
-        return
-    for n in range(cert.depth - L):
-        if cert.f_mats[n + L] != cert.f_mats[n]:
-            report.notes.append(f"periodic claim rejected: f_{n + L + 1} differs from f_{n + 1}")
-            return
-        if cert.i_indices[n + L] - cert.i_indices[n] != per.index_step_a:
-            report.notes.append("periodic claim rejected: i-indices do not advance by the declared step")
-            return
-        if cert.k_indices[n + L] - cert.k_indices[n] != per.index_step_b:
-            report.notes.append("periodic claim rejected: k-indices do not advance by the declared step")
-            return
-    for n in range(len(cert.g_mats) - L):
-        if cert.g_mats[n + L] != cert.g_mats[n]:
-            report.notes.append(f"periodic claim rejected: g_{n + L + 1} differs from g_{n + 1}")
-            return
-    report.periodic_accepted = True
-    report.notes.append("periodic certificate: one period verified, infinite certificate accepted")
+def _periodic_fault(
+    seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate
+) -> Optional[str]:
+    """Why the stored prefix does not determine an infinite certificate,
+    or ``None`` when it does: the maps must repeat, the index steps must
+    be constant multiples of the diagram periods, and all stages must lie
+    beyond the diagram prefixes."""
+    seqs, per = (seqA, seqB), cert.periodic
+    if any(seq.period is None for seq in seqs):
+        return "both diagrams need period declarations"
+    if per.period_len < 1 or cert.depth < per.period_len + 1:
+        return "stored prefix shorter than one period"
+    steps = (per.index_step_a, per.index_step_b)
+    if any(step % seq.period[1] for seq, step in zip(seqs, steps)):
+        return "index steps are not multiples of the diagram periods"
+    stages, maps = cert._chain
+    if any(stages[q] <= seqs[q].period[0] for q in (0, 1)):
+        return "certificate stages inside the diagram prefixes"
+    shift = 2 * per.period_len
+    if any(stages[q + shift] - stages[q] != steps[q] for q in (0, 1)):
+        return "declared index steps do not match the prefix"
+    ends = len(maps) - shift
+    for p in [*range(0, ends, 2), *range(1, ends, 2)]:  # report order: all f_n, then all g_n
+        if maps[p + shift] != maps[p]:
+            return f"{_name(p + shift)} differs from {_name(p)}"
+        if p % 2 == 0:  # f_n is checked with the stages i_n and k_n of its level
+            for side in (0, 1):
+                if stages[p + side + shift] - stages[p + side] != steps[side]:
+                    return f"{'ik'[side]}-indices do not advance by the declared step"
+    return None
 
 
 def verify_certificate(
@@ -187,19 +168,21 @@ def verify_certificate(
         return report
     if not _structural_check(seqA, seqB, cert, report):
         return report
-    for n in range(cert.depth - 1):
-        lhs = cert.g_mats[n] * cert.f_mats[n]
-        rhs = transition(seqA, cert.i_indices[n], cert.i_indices[n + 1])
-        if lhs != rhs:
-            report.fail(f"equation (1) fails at level n={n + 1}: g_{n + 1}*f_{n + 1} != a-transition")
-            return report
-        lhs = cert.f_mats[n + 1] * cert.g_mats[n]
-        rhs = transition(seqB, cert.k_indices[n], cert.k_indices[n + 1])
-        if lhs != rhs:
-            report.fail(f"equation (2) fails at level n={n + 1}: f_{n + 2}*g_{n + 1} != b-transition")
+    seqs, (stages, maps) = (seqA, seqB), cert._chain
+    for p in range(len(stages) - 2):
+        if maps[p + 1] * maps[p] != transition(seqs[p % 2], stages[p], stages[p + 2]):
+            report.fail(
+                f"equation ({p % 2 + 1}) fails at level n={p // 2 + 1}: "
+                f"{_name(p + 1)}*{_name(p)} != {'ab'[p % 2]}-transition"
+            )
             return report
     if cert.periodic is not None:
-        _periodic_check(seqA, seqB, cert, report)
+        fault = _periodic_fault(seqA, seqB, cert)
+        report.periodic_accepted = fault is None
+        report.notes.append(
+            f"periodic claim rejected: {fault}" if fault else
+            "periodic certificate: one period verified, infinite certificate accepted"
+        )
     return report
 
 
@@ -225,27 +208,21 @@ def induced_map(
     """Image of a colimit element under the isomorphism induced by a
     verified certificate.
 
-    Forward uses the least certificate level with ``i_n >= stage``;
-    backward is symmetric through ``g_n``.  Well-defined up to colimit
-    equality.
+    Forward uses the least chain node of diagram A with ``i_n >= stage``
+    and its map ``f_n``; backward the least node of B with ``k_n >= stage``
+    and its map ``g_n``.  Well-defined up to colimit equality.
     """
-    if direction == FORWARD:
-        idx = cert.i_indices
-        n = next((n for n, i in enumerate(idx) if i >= e.stage), None)
-        if n is None:
-            raise ValueError(f"element stage {e.stage} beyond last certificate index {idx[-1]}")
-        vec = cert.f_mats[n].apply(transition(seqA, e.stage, idx[n]).apply(e.vec))
-        return ColimitElement(cert.k_indices[n], vec)
-    if direction == BACKWARD:
-        idx = cert.k_indices
-        n = next((n for n, k in enumerate(idx) if k >= e.stage), None)
-        if n is None or n >= len(cert.g_mats) or n >= cert.depth - 1:
-            raise ValueError(
-                f"element stage {e.stage} beyond the backward range of the certificate"
-            )
-        vec = cert.g_mats[n].apply(transition(seqB, e.stage, idx[n]).apply(e.vec))
-        return ColimitElement(cert.i_indices[n + 1], vec)
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown direction {direction!r}")
+    side = direction == BACKWARD
+    stages, maps = cert._chain
+    p = next((p for p in range(side, len(stages) - 1, 2) if stages[p] >= e.stage), None)
+    if p is None:
+        last = f"last certificate index {stages[-2]}"
+        reach = "the backward range of the certificate" if side else last
+        raise ValueError(f"element stage {e.stage} beyond {reach}")
+    vec = maps[p].apply(transition((seqA, seqB)[side], e.stage, stages[p]).apply(e.vec))
+    return ColimitElement(stages[p + 1], vec)
 
 
 @dataclass
@@ -270,20 +247,17 @@ def roundtrip_check(
     identity on B samples; verified certificates must pass on every
     in-range sample."""
     report = RoundtripReport()
-    for e in samples_a:
-        image = induced_map(seqA, seqB, cert, FORWARD, e)
-        back = induced_map(seqA, seqB, cert, BACKWARD, image)
-        verdict = equal_at(seqA, back, e, horizon)
-        report.checked += 1
-        if not verdict.is_yes:
-            report.failures.append(f"A sample {e} round-trips to {back}: {verdict}")
-    for e in samples_b:
-        back = induced_map(seqA, seqB, cert, BACKWARD, e)
-        image = induced_map(seqA, seqB, cert, FORWARD, back)
-        verdict = equal_at(seqB, image, e, horizon)
-        report.checked += 1
-        if not verdict.is_yes:
-            report.failures.append(f"B sample {e} round-trips to {image}: {verdict}")
+    for name, seq, samples, there, back in (
+        ("A", seqA, samples_a, FORWARD, BACKWARD),
+        ("B", seqB, samples_b, BACKWARD, FORWARD),
+    ):
+        for e in samples:
+            image = induced_map(seqA, seqB, cert, there, e)
+            again = induced_map(seqA, seqB, cert, back, image)
+            verdict = equal_at(seq, again, e, horizon)
+            report.checked += 1
+            if not verdict.is_yes:
+                report.failures.append(f"{name} sample {e} round-trips to {again}: {verdict}")
     return report
 
 
@@ -365,25 +339,19 @@ def search_confluence(
     ha = budget.stage_horizon if seqA.has_stage(budget.stage_horizon) else seqA.length
     hb = budget.stage_horizon if seqB.has_stage(budget.stage_horizon) else seqB.length
     nodes = _Counter(budget.node_limit)
-    composites_a, composites_b = _composites(seqA, ha), _composites(seqB, hb)
+    composites = (_composites(seqA, ha), _composites(seqB, hb))
 
-    def extend(i_idx, k_idx, f_mats, g_mats):
-        n = len(f_mats)
-        if n == budget.depth:
-            return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats)
-        for i_next, target_a in composites_a(i_idx[-1]):
-            g_sols = solve_matrix_eq(f_mats[-1], target_a, constraint, budget.entry_bound)
-            for g in g_sols:
+    def extend(stages, maps):
+        """One half-level: the next map ``h`` solves
+        ``h * maps[-1] = transition(stages[-2], next)`` on the side of ``stages[-2]``."""
+        if len(maps) == 2 * budget.depth - 1:
+            return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
+        for nxt, target in composites[len(stages) % 2](stages[-2]):
+            for h in solve_matrix_eq(maps[-1], target, constraint, budget.entry_bound):
                 nodes.tick()
-                for k_next, target_b in composites_b(k_idx[-1]):
-                    f_sols = solve_matrix_eq(g, target_b, constraint, budget.entry_bound)
-                    for f in f_sols:
-                        nodes.tick()
-                        found = extend(
-                            i_idx + [i_next], k_idx + [k_next], f_mats + [f], g_mats + [g]
-                        )
-                        if found is not None:
-                            return found
+                found = extend(stages + [nxt], maps + [h])
+                if found is not None:
+                    return found
         return None
 
     try:
@@ -393,7 +361,7 @@ def search_confluence(
                     seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial
                 ):
                     nodes.tick()
-                    found = extend([i1], [k1], [f1], [])
+                    found = extend([i1, k1], [f1])
                     if found is not None:
                         return found
     except _OutOfNodes:

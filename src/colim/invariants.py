@@ -87,6 +87,15 @@ def _multipliers(seq: SequenceDiagram) -> list:
     return ms
 
 
+def _valuations(ms: list) -> dict:
+    """Prime -> sum of the valuations of the multipliers ``ms``."""
+    exps: dict = {}
+    for m in ms:
+        for p, e in factorint(m).items():
+            exps[p] = exps.get(p, 0) + e
+    return exps
+
+
 def steinitz(seq: SequenceDiagram) -> SupernaturalNumber:
     """Supernatural invariant of a rank-1 sequence truncation.
 
@@ -96,21 +105,14 @@ def steinitz(seq: SequenceDiagram) -> SupernaturalNumber:
     """
     ms = _multipliers(seq)
     if seq.period is None:
-        exps: dict = {}
-        for m in ms:
-            for p, e in factorint(m).items():
-                exps[p] = exps.get(p, 0) + e
-        return SupernaturalNumber.from_dict(exps)
+        return SupernaturalNumber.from_dict(_valuations(ms))
     prefix, length = seq.period
     period_product = 1
     for m in ms[prefix : prefix + length]:
         period_product *= m
     infinite = set(factorint(period_product))
-    exps = {p: INFINITE for p in infinite}
-    for m in ms[:prefix]:
-        for p, e in factorint(m).items():
-            if p not in infinite:
-                exps[p] = exps.get(p, 0) + e
+    exps = _valuations(ms[:prefix])
+    exps.update((p, INFINITE) for p in infinite)
     return SupernaturalNumber.from_dict(exps)
 
 
@@ -152,14 +154,6 @@ class EvidenceReport:
     @property
     def empty(self) -> bool:
         return not self.entries
-
-
-def _prefix_valuations(seq: SequenceDiagram, count: int) -> dict:
-    exps: dict = {}
-    for m in _multipliers(seq)[:count]:
-        for p, e in factorint(m).items():
-            exps[p] = exps.get(p, 0) + e
-    return exps
 
 
 def noniso_evidence(
@@ -206,8 +200,8 @@ def noniso_evidence(
                 )
         else:
             count = min(len(seqA.transitions), len(seqB.transitions))
-            va = _prefix_valuations(seqA, count)
-            vb = _prefix_valuations(seqB, count)
+            va = _valuations(_multipliers(seqA)[:count])
+            vb = _valuations(_multipliers(seqB)[:count])
             for p in sorted(set(va) | set(vb)):
                 gap = abs(va.get(p, 0) - vb.get(p, 0))
                 if gap >= indicative_threshold:

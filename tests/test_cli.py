@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from colim import confluence
@@ -11,6 +13,7 @@ X4 = str(FIXTURES / "x4.diag")
 FIB = str(FIXTURES / "fib.diag")
 X2_X4 = str(FIXTURES / "x2_x4.cert")
 FIB_SELF = str(FIXTURES / "fib_self.cert")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -91,10 +94,24 @@ class TestSearch:
 
     def test_emit_to_unwritable_path_is_a_user_error(self, capsys, tmp_path):
         path = tmp_path / "no_such_dir" / "found.cert"
-        code, _, err = run(capsys, "search", X2, X4, "--emit", str(path))
+        code, out, err = run(capsys, "search", X2, X4, "--emit", str(path))
         assert code == 2
+        assert out == []
         assert f"error: cannot write {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("search", X2, X4), "search_x2_x4.out"),
+            (("search", FIB, FIB, "--depth", "2", "--bound", "2", "--horizon", "8"),
+             "search_fib_fib.out"),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, argv, golden):
+        # pins the search order: the first certificate found, byte for byte
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(capsys, "search", X2, X3, "--depth", "3", "--bound", "8",

@@ -198,3 +198,122 @@ class TestSearch:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             search_confluence(X2, FIB, SearchBudget(2, 2, 4, 100))
+
+
+def scalars(*values):
+    return [Matrix([[v]]) for v in values]
+
+
+ONE = rank1([1, 1], period=(0, 1))
+
+
+class TestReportText:
+    @pytest.mark.parametrize(
+        "seqA, seqB, cert, reason",
+        [
+            (rank1([2] * 5), rank1([4] * 3),
+             ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(2, 1, 1)),
+             "both diagrams need period declarations"),
+            (X2, X4,
+             ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(6, 3, 3)),
+             "stored prefix shorter than one period"),
+            (rank1([2, 2], period=(0, 2)), X4,
+             ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(3, 1, 1)),
+             "index steps are not multiples of the diagram periods"),
+            (rank1([2, 2], period=(1, 1)), X4,
+             ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(2, 1, 1)),
+             "certificate stages inside the diagram prefixes"),
+            (X2, X4,
+             ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(4, 1, 1)),
+             "declared index steps do not match the prefix"),
+            (X2, X4,
+             ConfluenceCertificate([1, 2, 3], [1, 2, 3], scalars(1, 2, 4), scalars(2, 1),
+                                   CertificatePeriod(1, 1, 1)),
+             "f_2 differs from f_1"),
+            (X2, X2,
+             ConfluenceCertificate([1, 2, 4], [1, 2, 4], scalars(1, 1, 1), scalars(2, 4),
+                                   CertificatePeriod(1, 1, 1)),
+             "i-indices do not advance by the declared step"),
+            # the failing k-step is the last one, with depth - 1 backward maps
+            (ONE, ONE,
+             ConfluenceCertificate([1, 2, 3], [1, 2, 4], scalars(1, 1, 1), scalars(1, 1),
+                                   CertificatePeriod(1, 1, 1)),
+             "k-indices do not advance by the declared step"),
+            (X2, X4,
+             ConfluenceCertificate([1, 3], [1, 2], scalars(1, 1), scalars(4, 5),
+                                   CertificatePeriod(2, 1, 1)),
+             "g_2 differs from g_1"),
+        ],
+    )
+    def test_periodic_rejection_notes(self, seqA, seqB, cert, reason):
+        report = verify_certificate(seqA, seqB, cert)
+        assert report.accepted and report.failures == []
+        assert report.periodic_accepted is False
+        assert report.notes == [f"periodic claim rejected: {reason}"]
+
+    def test_periodic_acceptance_note(self):
+        cert = ConfluenceCertificate(
+            [1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4), CertificatePeriod(2, 1, 1)
+        )
+        report = verify_certificate(X2, X4, cert)
+        assert report.notes == [
+            "periodic certificate: one period verified, infinite certificate accepted"
+        ]
+
+    def test_shape_failures_list_every_f_before_every_g(self):
+        row, col = Matrix([[1, 1]]), Matrix([[1], [1]])
+        cert = ConfluenceCertificate([1, 3], [1, 2], [col, row], [row, row])
+        assert verify_certificate(X2, X4, cert).failures == [
+            "f_1 has shape 2x1, expected 1x1",
+            "f_2 has shape 1x2, expected 1x1",
+            "g_1 has shape 1x2, expected 1x1",
+            "g_2 has shape 1x2, expected 1x1",
+        ]
+
+    def test_trailing_g_checks_only_its_source(self):
+        cert = ConfluenceCertificate(
+            [1, 3], [1, 2], scalars(1, 1), [Matrix([[4]]), Matrix([[1], [2], [3]])]
+        )
+        report = verify_certificate(X2, X4, cert)
+        assert report.accepted and report.failures == []
+
+    def test_negativity_failures_list_every_f_before_every_g(self):
+        neg = Matrix([[-1, 0], [0, 1]])
+        cert = ConfluenceCertificate([1, 2], [1, 2], [neg, neg], [neg, neg])
+        assert verify_certificate(FIB, FIB, cert).failures == [
+            "f_1 has a negative entry in simplicial mode",
+            "f_2 has a negative entry in simplicial mode",
+            "g_1 has a negative entry in simplicial mode",
+            "g_2 has a negative entry in simplicial mode",
+        ]
+
+    def test_shape_and_negativity_failures_share_one_order(self):
+        neg = Matrix([[-1, 0], [0, 1]])
+        cert = ConfluenceCertificate(
+            [1, 2], [1, 2], [Matrix([[1, 0]]), neg], [neg, Matrix([[1], [1]])]
+        )
+        assert verify_certificate(FIB, FIB, cert).failures == [
+            "f_1 has shape 1x2, expected 2x2",
+            "f_2 has a negative entry in simplicial mode",
+            "g_1 has a negative entry in simplicial mode",
+            "g_2 has shape 2x1, expected 2x2",
+        ]
+
+    @pytest.mark.parametrize(
+        "direction, element, message",
+        [
+            (FORWARD, ColimitElement(6, [1]), "element stage 6 beyond last certificate index 5"),
+            (BACKWARD, ColimitElement(3, [1]),
+             "element stage 3 beyond the backward range of the certificate"),
+            ("sideways", ColimitElement(1, [1]), "unknown direction 'sideways'"),
+        ],
+    )
+    def test_induced_map_errors(self, direction, element, message):
+        with pytest.raises(ValueError) as exc:
+            induced_map(X2, X4, X2_X4_CERT, direction, element)
+        assert str(exc.value) == message
