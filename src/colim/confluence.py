@@ -186,18 +186,6 @@ def verify_certificate(
     return report
 
 
-def truncate_certificate(cert: ConfluenceCertificate, depth: int) -> ConfluenceCertificate:
-    """First ``depth >= 2`` levels of a certificate; still verifies."""
-    if not (2 <= depth <= cert.depth):
-        raise ValueError("depth out of range")
-    return ConfluenceCertificate(
-        cert.i_indices[:depth],
-        cert.k_indices[:depth],
-        cert.f_mats[:depth],
-        cert.g_mats[: depth - 1],
-    )
-
-
 def induced_map(
     seqA: SequenceDiagram,
     seqB: SequenceDiagram,
@@ -320,6 +308,43 @@ class _Counter:
             raise _OutOfNodes
 
 
+class _Search:
+    """The state of one :func:`search_confluence` call: its budget, the
+    composites of each side, the node counter, and the solver of each
+    ``K`` met so far, keyed by shape and entries (whose tuples hash and
+    compare faster than a Matrix; a ``K`` without rows needs its width
+    in the key).  A ``K``'s solver is its first :func:`solve_matrix_eq`,
+    and every other target of ``K`` reuses its elimination."""
+
+    def __init__(self, budget: SearchBudget, composites: tuple, constraint: str, nodes: _Counter):
+        self.budget = budget
+        self.composites = composites
+        self.constraint = constraint
+        self.nodes = nodes
+        self.solvers: dict = {}
+
+    def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
+        """One half-level: the next map ``h`` solves
+        ``h * maps[-1] = transition(stages[-2], next)`` on the side of ``stages[-2]``."""
+        if len(maps) == 2 * self.budget.depth - 1:
+            return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
+        k = maps[-1]
+        key = (k.cols, k.entries)
+        solver = self.solvers.get(key)
+        for nxt, target in self.composites[len(stages) % 2](stages[-2]):
+            if solver is None:
+                solver = self.solvers[key] = solve_matrix_eq(k, target, self.constraint, self.budget.entry_bound)
+                solutions = solver
+            else:
+                solutions = solver._retarget(target)
+            for h in solutions:
+                self.nodes.tick()
+                found = self.extend(stages + [nxt], maps + [h])
+                if found is not None:
+                    return found
+        return None
+
+
 def search_confluence(
     seqA: SequenceDiagram, seqB: SequenceDiagram, budget: SearchBudget
 ) -> Optional[ConfluenceCertificate]:
@@ -328,6 +353,14 @@ def search_confluence(
     Every returned certificate passes :func:`verify_certificate`.  An
     empty result means only that the budgeted space holds no certificate;
     it is never evidence of non-isomorphism.
+
+    Each half-level solves ``h * K = T`` for the next map, and the same
+    few systems recur all over the tree.  So within one search each
+    distinct ``K`` is eliminated once, by one
+    :func:`~colim.matrices.solve_matrix_eq`, and each distinct
+    ``(K, T)`` substituted and its row streams built once; the
+    solutions come in the order :func:`~colim.matrices.solve_matrix_eq`
+    gives.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")
@@ -335,25 +368,11 @@ def search_confluence(
         bad = validate(seq)
         if not bad.ok:
             raise ValueError(f"invalid diagram: {bad.violations[0]}")
-    constraint = "nonnegative" if seqA.simplicial else "any"
     ha = budget.stage_horizon if seqA.has_stage(budget.stage_horizon) else seqA.length
     hb = budget.stage_horizon if seqB.has_stage(budget.stage_horizon) else seqB.length
     nodes = _Counter(budget.node_limit)
-    composites = (_composites(seqA, ha), _composites(seqB, hb))
-
-    def extend(stages, maps):
-        """One half-level: the next map ``h`` solves
-        ``h * maps[-1] = transition(stages[-2], next)`` on the side of ``stages[-2]``."""
-        if len(maps) == 2 * budget.depth - 1:
-            return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
-        for nxt, target in composites[len(stages) % 2](stages[-2]):
-            for h in solve_matrix_eq(maps[-1], target, constraint, budget.entry_bound):
-                nodes.tick()
-                found = extend(stages + [nxt], maps + [h])
-                if found is not None:
-                    return found
-        return None
-
+    constraint = "nonnegative" if seqA.simplicial else "any"
+    search = _Search(budget, (_composites(seqA, ha), _composites(seqB, hb)), constraint, nodes)
     try:
         for i1 in range(1, ha + 1):
             for k1 in range(1, hb + 1):
@@ -361,7 +380,7 @@ def search_confluence(
                     seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial
                 ):
                     nodes.tick()
-                    found = extend([i1, k1], [f1])
+                    found = search.extend([i1, k1], [f1])
                     if found is not None:
                         return found
     except _OutOfNodes:

@@ -11,6 +11,7 @@ the period covers is available without building a longer copy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,6 +90,11 @@ class SequenceDiagram:
             return False
         return True
 
+    @functools.cached_property
+    def _violations(self) -> tuple:
+        """What :func:`validate` reports, found once: the diagram is immutable."""
+        return tuple(_find_violations(self))
+
 
 @dataclass
 class ValidationReport:
@@ -108,43 +114,56 @@ def validate(seq: SequenceDiagram) -> ValidationReport:
     """Check every diagram invariant; violations are data, not faults.
 
     Transition indices in messages are 1-based (transition ``t`` maps
-    stage ``t`` to stage ``t+1``).
+    stage ``t`` to stage ``t+1``).  The checks run once per diagram;
+    every call returns a fresh report.
     """
-    report = ValidationReport()
+    return ValidationReport(list(seq._violations))
+
+
+def _find_violations(seq: SequenceDiagram) -> list:
+    violations = []
     n = seq.length
     if len(seq.transitions) != n - 1:
-        report.violations.append(
+        violations.append(
             f"expected {n - 1} transitions for {n} stages, got {len(seq.transitions)}"
         )
     for t, m in enumerate(seq.transitions, start=1):
         if t >= n:
             break
         if (m.rows, m.cols) != (seq.ranks[t], seq.ranks[t - 1]):
-            report.violations.append(
+            violations.append(
                 f"shape mismatch at transition {t}: got {m.rows}x{m.cols}, "
                 f"expected {seq.ranks[t]}x{seq.ranks[t - 1]}"
             )
             continue
         if seq.simplicial and not m.is_nonnegative():
-            report.violations.append(f"negative entry at transition {t}")
+            violations.append(f"negative entry at transition {t}")
         if seq.mono_required and not is_injective(m):
-            report.violations.append(f"non-injective transition {t}")
+            violations.append(f"non-injective transition {t}")
     if seq.period is not None:
-        covered = sum(seq.period)  # prefix + period length
+        prefix, length = seq.period
+        covered = prefix + length
         if covered > len(seq.transitions):
-            report.violations.append(
+            violations.append(
                 f"period declaration needs transitions up to {covered}, "
                 f"only {len(seq.transitions)} stored"
             )
-        else:
-            for t in range(covered, len(seq.transitions)):
-                ref = seq._stored_index(t, covered)
-                if seq.transitions[t] != seq.transitions[ref]:
-                    report.violations.append(
-                        f"transition {t + 1} breaks the declared period "
-                        f"(differs from transition {ref + 1})"
-                    )
-    return report
+            return violations
+        # the transition after the last one of the period is its first one
+        first, last = seq.transitions[prefix], seq.transitions[covered - 1]
+        if first.cols != last.rows:
+            violations.append(
+                f"period does not close: transition {covered} ends at rank {last.rows}, "
+                f"transition {prefix + 1} starts at rank {first.cols}"
+            )
+        for t in range(covered, len(seq.transitions)):
+            ref = seq._stored_index(t, covered)
+            if seq.transitions[t] != seq.transitions[ref]:
+                violations.append(
+                    f"transition {t + 1} breaks the declared period "
+                    f"(differs from transition {ref + 1})"
+                )
+    return violations
 
 
 def transition(seq: SequenceDiagram, i: int, j: int) -> Matrix:

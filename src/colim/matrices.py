@@ -44,13 +44,21 @@ class Matrix:
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _make(cls, entries: tuple, cols: int) -> "Matrix":
+        """A matrix from a tuple of ``cols``-long tuples of ints that the
+        library built itself, without the constructor's checks."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = len(entries), cols, entries
+        return m
+
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(_identity_rows(n), cols=n)
+        return Matrix._make(tuple(map(tuple, _identity_rows(n))), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+        return Matrix._make(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "Matrix":
@@ -83,9 +91,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -93,16 +98,12 @@ class Matrix:
         return [list(r) for r in self.entries]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        if not self.rows:  # zip(*()) yields no columns at all
+            return Matrix.zero(self.cols, 0)
+        return Matrix._make(tuple(zip(*self.entries)), self.rows)
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.entries for x in row)
-
-    def max_abs(self) -> int:
-        return max((abs(x) for row in self.entries for x in row), default=0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -116,10 +117,8 @@ class Matrix:
         if not other.rows:  # zip(*()) yields no columns at all
             return Matrix.zero(self.rows, other.cols)
         ocols = tuple(zip(*other.entries))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, ocol)) for ocol in ocols] for row in self.entries],
-            cols=other.cols,
-        )
+        products = (tuple(sum(a * b for a, b in zip(row, ocol)) for ocol in ocols) for row in self.entries)
+        return Matrix._make(tuple(products), other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Apply to a column vector, returning ``M @ vec`` as a tuple."""
@@ -255,7 +254,11 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if flipped:
         x, left, right = _transpose(x), _transpose(right), _transpose(left)
         rows, cols = cols, rows
-    return Matrix(x, cols=cols), Matrix(left, cols=rows), Matrix(right, cols=cols)
+    return (
+        Matrix._make(tuple(map(tuple, x)), cols),
+        Matrix._make(tuple(map(tuple, left)), rows),
+        Matrix._make(tuple(map(tuple, right)), cols),
+    )
 
 
 def rank(m: Matrix) -> int:
@@ -277,9 +280,9 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
     Zero columns exactly when ``m`` is injective.  The columns are the
-    left-kernel basis of ``m^T`` that :func:`_solve_transposed` finds.
+    left-kernel basis of ``m^T`` that :func:`_substitute` finds.
     """
-    _, basis, _ = _solve_transposed(m.transpose(), [])
+    _, basis, _ = _substitute(_reduce(m.transpose()), [])
     return Matrix.from_columns(basis, rows=m.cols)
 
 
@@ -311,14 +314,24 @@ def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = Fa
         yield Matrix.zero(rows, cols)
         return
     for flat in itertools.product(vals, repeat=n):
-        yield Matrix([list(flat[i * cols : (i + 1) * cols]) for i in range(rows)], cols=cols)
+        yield Matrix._make(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)), cols)
 
 
-def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
+def _reduce(k: Matrix) -> tuple:
+    """The first step of solving ``y @ k = c``, shared by every target:
+    ``(width, a, pivots, r)`` with ``a`` the echelon form of ``[k | I]``,
+    ``pivots`` its pivot columns, ``width`` the column count of ``k`` and
+    ``r`` its rank.  :func:`_substitute` takes it."""
+    a = [list(row) + e for row, e in zip(k.entries, _identity_rows(k.rows))]
+    pivots, _ = _echelon(a)
+    return k.cols, a, pivots, sum(1 for c in pivots if c < k.cols)
+
+
+def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
     """Integer solutions of ``y @ k = c`` for each row vector ``c`` in
-    ``targets``: ``None`` if some ``c`` has none, else ``(z0s, basis,
-    pivots)`` with the solutions for the ``i``-th target given by
-    ``{z0s[i] + sum p_j * basis[j]}``.
+    ``targets``, given ``_reduce(k)``: ``None`` if some ``c`` has none,
+    else ``(z0s, basis, pivots)`` with the solutions for the ``i``-th
+    target given by ``{z0s[i] + sum p_j * basis[j]}``.
 
     With ``u * k = h`` in echelon form, ``y = w * u`` where ``w * h = c``;
     ``w`` follows by forward substitution through the pivots of ``h``,
@@ -326,10 +339,7 @@ def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
     left kernel of ``k``.  The echelon runs on through ``u``, so these
     basis rows are in echelon form too, with pivot columns ``pivots``.
     """
-    n, width = k.rows, k.cols
-    a = [list(row) + e for row, e in zip(k.entries, _identity_rows(n))]
-    pivots, _ = _echelon(a)
-    r = sum(1 for c in pivots if c < width)
+    width, a, pivots, r = reduced
     z0s = []
     for c in targets:
         w = []
@@ -340,7 +350,7 @@ def _solve_transposed(k: Matrix, targets: Sequence[Sequence[int]]):
             w.append(q)
         if any(sum(w[i] * a[i][col] for i in range(r)) != c[col] for col in range(width)):
             return None
-        z0s.append(tuple(sum(w[j] * a[j][width + i] for j in range(r)) for i in range(n)))
+        z0s.append(tuple(sum(w[j] * a[j][width + i] for j in range(r)) for i in range(len(a))))
     return z0s, [tuple(row[width:]) for row in a[r:]], [c - width for c in pivots[r:]]
 
 
@@ -355,19 +365,18 @@ def _row_stream(z0, basis, pivots, entry_bound, nonnegative) -> Iterator[tuple]:
     the columns that are no pivot.
     """
     lo = 0 if nonnegative else -entry_bound
-    hi = entry_bound
+    return _walk(basis, pivots, lo, entry_bound, 0, list(z0))
 
-    def walk(j, z):
-        if j == len(basis):
-            if all(lo <= x <= hi for x in z):
-                yield tuple(z)
-            return
-        row, c = basis[j], pivots[j]
-        s, d = z[c], row[c]
-        for p in range(-((s - lo) // d), (hi - s) // d + 1):
-            yield from walk(j + 1, [x + p * b for x, b in zip(z, row)])
 
-    return walk(0, list(z0))
+def _walk(basis, pivots, lo, hi, j, z) -> Iterator[tuple]:
+    if j == len(basis):
+        if all(lo <= x <= hi for x in z):
+            yield tuple(z)
+        return
+    row, c = basis[j], pivots[j]
+    s, d = z[c], row[c]
+    for p in range(-((s - lo) // d), (hi - s) // d + 1):
+        yield from _walk(basis, pivots, lo, hi, j + 1, [x + p * b for x, b in zip(z, row)])
 
 
 class MatrixEqSolutions:
@@ -380,8 +389,12 @@ class MatrixEqSolutions:
     lexicographic order of ``(p_0, p_1, ...)``, which is the
     lexicographic order of their entries at the basis pivot columns.
     Matrices come in lexicographic order of their rows' positions in
-    those streams, first row outermost.  When iteration starts, each
-    row's stream is materialised in full.
+    those streams, first row outermost.  When iteration first starts,
+    each row's stream is materialised in full and kept.
+
+    ``k`` is eliminated once, by :func:`_reduce`; :meth:`_retarget` gives
+    the solutions for another ``t`` from that elimination, and all of
+    them share each target's substitution and row streams.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -393,25 +406,45 @@ class MatrixEqSolutions:
             raise ValueError(f"unknown constraint {constraint!r}")
         if entry_bound < 0:
             raise ValueError("entry_bound must be >= 0")
-        if k.cols != t.cols:
-            raise ValueError(
-                f"shape mismatch: X*k has {k.cols} columns, t has {t.cols}"
-            )
         self.k = k
-        self.t = t
         self.entry_bound = entry_bound
         self.nonnegative = constraint == "nonnegative"
-        solved = _solve_transposed(k, t.entries)
-        self.consistent = solved is not None
-        self._z0s, self._basis, self._pivots = solved or ([], [], [])
+        self._reduced = _reduce(k)
+        self._targets: dict = {}  # t.entries -> [_substitute(...), row streams once iterated]
+        self._aim(t)
+
+    def _aim(self, t: Matrix) -> None:
+        if self.k.cols != t.cols:
+            raise ValueError(
+                f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}"
+            )
+        self.t = t
+        target = self._targets.get(t.entries)
+        if target is None:
+            target = self._targets[t.entries] = [_substitute(self._reduced, t.entries), None]
+        self._target = target
+        self.consistent = target[0] is not None
+
+    def _retarget(self, t: Matrix) -> "MatrixEqSolutions":
+        """The solutions of ``X * k = t`` for another ``t`` of the same
+        width, without a second elimination of ``k``."""
+        other = object.__new__(MatrixEqSolutions)
+        other.k, other.entry_bound, other.nonnegative = self.k, self.entry_bound, self.nonnegative
+        other._reduced, other._targets = self._reduced, self._targets
+        other._aim(t)
+        return other
 
     def __iter__(self) -> Iterator[Matrix]:
-        if not self.consistent:
+        solved, streams = self._target
+        if solved is None:
             return
-        streams = [_row_stream(z0, self._basis, self._pivots, self.entry_bound, self.nonnegative)
-                   for z0 in self._z0s]
+        if streams is None:
+            z0s, basis, pivots = solved
+            streams = self._target[1] = [
+                tuple(_row_stream(z0, basis, pivots, self.entry_bound, self.nonnegative)) for z0 in z0s
+            ]
         for rows in itertools.product(*streams):
-            yield Matrix(rows, cols=self.k.rows)
+            yield Matrix._make(rows, self.k.rows)
 
 
 def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: int = 0) -> MatrixEqSolutions:
@@ -421,5 +454,5 @@ def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: 
     The order is deterministic: each row's solutions come in
     lexicographic order of their coordinates along the Hermite basis of
     the left kernel of ``k``, not in the order of the entries.  Each
-    row's stream is materialised when iteration starts."""
+    row's stream is materialised when iteration first starts."""
     return MatrixEqSolutions(k, t, constraint, entry_bound)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from colim import confluence
+from colim import confluence, diagrams
 from colim.cli import main
 
 from conftest import FIXTURES
@@ -33,6 +33,29 @@ class TestValidate:
         assert code == 1
         assert "status: invalid" in out
         assert "violation: negative entry at transition 1" in out
+
+    def test_period_that_does_not_close(self, capsys):
+        bad = str(FIXTURES / "bad_period.diag")
+        message = "period does not close: transition 1 ends at rank 2, transition 1 starts at rank 1"
+        code, out, _ = run(capsys, "validate", bad)
+        assert code == 1
+        assert out[1:] == ["status: invalid", f"violation: {message}"]
+        code, _, err = run(capsys, "equal", bad, "--e1", "1:1", "--e2", "1:2", "--horizon", "4")
+        assert code == 2
+        assert err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", X2, X4, X2_X4), 0),
+        (("search", X2, X4), 0),
+        (("map", X2, X4, X2_X4, "--element", "1:1"), 0),
+        (("invariants", X2, X4), 0),
+    ])
+    def test_each_diagram_is_validated_once(self, capsys, monkeypatch, argv, code):
+        # x2 and x4 are mono with 2 stored transitions each
+        calls = []
+        monkeypatch.setattr(diagrams, "is_injective", lambda m: calls.append(m) or True)
+        assert run(capsys, *argv)[0] == code
+        assert len(calls) == 4
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no_such_file.diag")

@@ -1,5 +1,6 @@
 import pytest
 
+from colim import confluence, matrices
 from colim.colimit import ColimitElement, equal_at
 from colim.confluence import (
     BACKWARD,
@@ -10,13 +11,12 @@ from colim.confluence import (
     induced_map,
     roundtrip_check,
     search_confluence,
-    truncate_certificate,
     verify_certificate,
 )
 from colim.diagrams import SequenceDiagram, transition
-from colim.matrices import Matrix
+from colim.matrices import Matrix, iter_matrices, solve_matrix_eq
 
-from conftest import random_matrix, rank1
+from conftest import random_diagram, random_matrix, rank1
 
 X2 = rank1([2, 2], period=(0, 1))
 X3 = rank1([3, 3], period=(0, 1))
@@ -26,6 +26,15 @@ FIB = SequenceDiagram("simplicial", [2, 2], [Matrix([[1, 1], [1, 0]])], False, (
 X2_X4_CERT = ConfluenceCertificate(
     [1, 3, 5], [1, 2, 3], [Matrix([[1]])] * 3, [Matrix([[4]])] * 2
 )
+
+
+def truncate_certificate(cert, depth):
+    """The first ``depth >= 2`` levels of a certificate, without its
+    periodic block."""
+    assert 2 <= depth <= cert.depth
+    return ConfluenceCertificate(
+        cert.i_indices[:depth], cert.k_indices[:depth], cert.f_mats[:depth], cert.g_mats[: depth - 1]
+    )
 
 
 def self_certificate(seq, depth):
@@ -52,6 +61,52 @@ def split_pair(rng, depth, mode="plain", max_rank=3, bound=2):
     seqB = SequenceDiagram(mode, ranks_b, b_trans)
     cert = ConfluenceCertificate(range(1, depth + 1), range(1, depth + 1), f, g)
     return seqA, seqB, cert
+
+
+def reference_search(seqA, seqB, budget):
+    """The search's back-and-forth DFS written out plainly, with one
+    uncached ``solve_matrix_eq`` per half-level: returns the certificate
+    (or None) and the number of nodes visited, the one that ran out
+    included."""
+    seqs = (seqA, seqB)
+    constraint = "nonnegative" if seqA.simplicial else "any"
+    last = [budget.stage_horizon if s.has_stage(budget.stage_horizon) else s.length for s in seqs]
+    nodes = 0
+
+    class OutOfNodes(Exception):
+        pass
+
+    def visit():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.node_limit:
+            raise OutOfNodes
+
+    def extend(stages, maps):
+        if len(maps) == 2 * budget.depth - 1:
+            return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
+        side = len(stages) % 2
+        for nxt in range(stages[-2] + 1, last[side] + 1):
+            target = transition(seqs[side], stages[-2], nxt)
+            for h in solve_matrix_eq(maps[-1], target, constraint, budget.entry_bound):
+                visit()
+                found = extend(stages + [nxt], maps + [h])
+                if found is not None:
+                    return found
+        return None
+
+    try:
+        for i1 in range(1, last[0] + 1):
+            for k1 in range(1, last[1] + 1):
+                ranks = (seqB.rank_at(k1), seqA.rank_at(i1))
+                for f1 in iter_matrices(*ranks, budget.entry_bound, seqA.simplicial):
+                    visit()
+                    found = extend([i1, k1], [f1])
+                    if found is not None:
+                        return found, nodes
+    except OutOfNodes:
+        pass
+    return None, nodes
 
 
 class TestVerify:
@@ -188,6 +243,54 @@ class TestSearch:
             cert = search_confluence(seqA, seqB, SearchBudget(2, 2, 3, 1500))
             if cert is not None:
                 assert verify_certificate(seqA, seqB, cert).accepted
+
+    def test_x2_x3_reduces_each_distinct_k_once(self, monkeypatch):
+        # every map is a 1x1 matrix with an entry in [-8, 8]: 17 distinct K,
+        # each solved by one solve_matrix_eq and eliminated by one _reduce
+        reduce_k, solve, reduced, solved = matrices._reduce, confluence.solve_matrix_eq, [], []
+
+        def counted_reduce(k):
+            reduced.append(k)
+            return reduce_k(k)
+
+        def counted_solve(k, *args):
+            solved.append(k)
+            return solve(k, *args)
+
+        monkeypatch.setattr(matrices, "_reduce", counted_reduce)
+        monkeypatch.setattr(confluence, "solve_matrix_eq", counted_solve)
+        assert search_confluence(X2, X3, SearchBudget(3, 8, 12, 200000)) is None
+        assert len(reduced) == 17 == len(set(reduced))
+        assert solved == reduced
+
+    def test_matches_uncached_reference_search(self, rng, monkeypatch):
+        tick, nodes = confluence._Counter.tick, []
+
+        def counted(counter):
+            nodes.append(1)
+            tick(counter)
+
+        monkeypatch.setattr(confluence._Counter, "tick", counted)
+        found = out_of_nodes = 0
+        for n in range(60):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            if n % 3 == 0:
+                seqA, seqB, _ = split_pair(rng, stages, mode, max_rank=2, bound=1)
+            elif n % 3 == 1:
+                seqA = random_diagram(rng, stages, max_rank=2, bound=2, mode=mode)
+                seqB = random_diagram(rng, stages, max_rank=2, bound=2, mode=mode)
+            else:  # maps into B's rank-0 stages have no entries, only a width
+                seqA = random_diagram(rng, stages, max_rank=2, bound=2, mode=mode)
+                ranks = [rng.randint(0, 1) for _ in range(stages)]
+                steps = [random_matrix(rng, ranks[t + 1], ranks[t], 2, mode == "simplicial") for t in range(stages - 1)]
+                seqB = SequenceDiagram(mode, ranks, steps)
+            budget = SearchBudget(rng.randint(2, 3), rng.randint(1, 3), stages, rng.choice([100, 600]))
+            nodes.clear()
+            cert = search_confluence(seqA, seqB, budget)
+            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+            found += cert is not None
+            out_of_nodes += len(nodes) > budget.node_limit
+        assert found >= 20 and out_of_nodes >= 10
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

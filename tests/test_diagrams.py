@@ -1,5 +1,6 @@
 import pytest
 
+from colim import diagrams
 from colim.colimit import (
     ColimitElement,
     Trilean,
@@ -39,6 +40,33 @@ class TestValidate:
         seq = rank1([2, 3], period=(0, 1))
         assert any("breaks the declared period" in v for v in validate(seq).violations)
         assert validate(rank1([2, 2], period=(0, 1))).ok
+
+    def test_period_must_close_on_ranks(self):
+        # stage prefix + length + 1 repeats stage prefix + 1, so their ranks agree
+        for ranks, shapes, period in [
+            ([1, 2], [(2, 1)], (0, 1)),
+            ([2, 1, 3], [(1, 2), (3, 1)], (0, 2)),
+            ([1, 2, 3], [(2, 1), (3, 2)], (1, 1)),
+        ]:
+            seq = SequenceDiagram("plain", ranks, [Matrix.zero(*s) for s in shapes], False, period)
+            report = validate(seq)
+            assert [v for v in report.violations if v.startswith("period does not close")] == [
+                f"period does not close: transition {sum(period)} ends at rank {ranks[-1]}, "
+                f"transition {period[0] + 1} starts at rank {ranks[period[0]]}"
+            ]
+        closing = SequenceDiagram("plain", [1, 2, 2], [Matrix([[1], [1]]), Matrix.identity(2)], False, (1, 1))
+        assert validate(closing).ok
+
+    def test_checks_run_once_per_diagram(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagrams, "is_injective", lambda m: calls.append(m) or True)
+        seq = rank1([2, 3, 5])
+        first = validate(seq)
+        first.violations.append("changed by the caller")
+        assert validate(seq).ok and validate(seq) is not first
+        assert len(calls) == 3
+        validate(rank1([2, 3, 5]))
+        assert len(calls) == 6
 
     def test_rank_zero_stage_allowed(self):
         seq = SequenceDiagram("plain", [0, 1], [Matrix([[]], cols=0)], mono_required=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from colim.diagrams import SequenceDiagram, validate
 from colim.matrices import (
     Matrix,
+    _echelon,
     det,
     is_injective,
     iter_matrices,
@@ -18,6 +19,16 @@ from colim.matrices import (
 )
 
 from conftest import random_matrix
+
+
+def row(m, i):
+    """Row ``i`` of ``m`` as a tuple."""
+    return m.entries[i]
+
+
+def max_abs(m):
+    """Largest absolute value of an entry of ``m``, 0 when it has none."""
+    return max((abs(x) for r in m.entries for x in r), default=0)
 
 
 def bareiss_rank(m):
@@ -259,6 +270,44 @@ def pivot_columns(k):
     return [next(c for c, x in enumerate(row) if x) for row in basis.entries]
 
 
+class TestSplitSolver:
+    """``kernel_basis`` and ``solve_matrix_eq`` share one reduction of
+    ``[k | I]`` and one forward substitution; both must still read what a
+    direct ``_echelon`` of ``[k | I]`` gives."""
+
+    def test_agrees_with_echelon(self, rng):
+        inconsistent = 0
+        for _ in range(60):
+            k = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3), 3)
+            a = [row + e for row, e in zip(k.to_lists(), Matrix.identity(k.rows).to_lists())]
+            pivots, _ = _echelon(a)
+            r = sum(1 for c in pivots if c < k.cols)
+            assert kernel_basis(k.transpose()).transpose().to_lists() == [row[k.cols:] for row in a[r:]]
+            hermite = [row[: k.cols] for row in a[:r]]
+            for _ in range(3):
+                c = [rng.randint(-4, 4) for _ in range(k.cols)]
+                # c lies in the row lattice of k iff appending it keeps the Hermite form
+                b = k.to_lists() + [c]
+                _echelon(b)
+                sols = solve_matrix_eq(k, Matrix([c]), "any", 4)
+                assert sols.consistent == ([row for row in b if any(row)] == hermite)
+                assert all(x * k == Matrix([c]) for x in sols)
+                inconsistent += not sols.consistent
+        assert 20 <= inconsistent <= 160
+
+    def test_library_results_are_well_formed(self, rng):
+        # results built without the constructor's checks pass them
+        for _ in range(40):
+            rows, inner, cols = (rng.randint(0, 3) for _ in range(3))
+            a, b = random_matrix(rng, rows, inner, 3), random_matrix(rng, inner, cols, 3)
+            made = [a * b, a.transpose(), *snf(a), Matrix.identity(rows), Matrix.zero(rows, cols)]
+            made += iter_matrices(rows, cols, 1) if rows * cols <= 2 else []
+            made += itertools.islice(solve_matrix_eq(b, a * b, "any", 3), 20)
+            for m in made:
+                assert type(m.entries) is tuple and all(type(r) is tuple for r in m.entries)
+                assert Matrix(m.entries, cols=m.cols) == m
+
+
 class TestSolveMatrixEq:
     def test_forced(self):
         sols = solve_matrix_eq(Matrix([[2]]), Matrix([[4]]), "nonnegative", 10)
@@ -266,7 +315,7 @@ class TestSolveMatrixEq:
 
     def test_sum_to_two(self):
         sols = solve_matrix_eq(Matrix([[1], [1]]), Matrix([[2]]), "nonnegative", 2)
-        assert sorted(tuple(x.row(0)) for x in sols) == [(0, 2), (1, 1), (2, 0)]
+        assert sorted(row(x, 0) for x in sols) == [(0, 2), (1, 1), (2, 0)]
 
     def test_parity_inconsistent(self):
         sols = solve_matrix_eq(Matrix([[2]]), Matrix([[3]]), "any", 100)
@@ -286,7 +335,7 @@ class TestSolveMatrixEq:
                         for _ in range(rng.randint(1, 2))], cols=k.cols)
             for x in solve_matrix_eq(k, t, "any", 3):
                 assert x * k == t
-                assert x.max_abs() <= 3
+                assert max_abs(x) <= 3
 
     def test_matches_brute_force(self, rng):
         # up to 2x2 unknowns, then 1x3 ones, whose solutions for a row
@@ -314,7 +363,7 @@ class TestSolveMatrixEq:
             assert 2 <= len(pivots) <= 3
             for constraint, nonneg in (("any", False), ("nonnegative", True)):
                 got = list(solve_matrix_eq(k, t, constraint, bound))
-                keys = [tuple(x.row(0)[c] for c in pivots) for x in got]
+                keys = [tuple(row(x, 0)[c] for c in pivots) for x in got]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 assert set(got) == brute_solutions(k, t, bound, nonneg)
                 nonempty += bool(got)
@@ -336,7 +385,7 @@ def test_iter_matrices_small_magnitude_first():
     seq = list(iter_matrices(1, 1, 2))
     assert [m[0, 0] for m in seq] == [0, 1, -1, 2, -2]
     seq = list(iter_matrices(1, 2, 1, nonnegative=True))
-    assert [tuple(m.row(0)) for m in seq] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [row(m, 0) for m in seq] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_matrix_rejects_non_integers():
