@@ -12,6 +12,7 @@ assert on exact output.  Exit codes are a total function of the report:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -176,7 +177,9 @@ def _cmd_divisible(args) -> int:
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
-def _print_single_invariants(label: str, seq) -> None:
+def _print_single_invariants(label: str, seq):
+    """Print the rank and Steinitz lines of ``seq``; return its Steinitz
+    invariant, or None if it has none."""
     prefix = f"{label}." if label else ""
     if seq.mono_required:
         r, stab = invariants.colimit_rank(seq)
@@ -184,11 +187,15 @@ def _print_single_invariants(label: str, seq) -> None:
         print(f"{prefix}rank_stabilized: {'true' if stab else 'false'}")
     else:
         print(f"{prefix}rank: unavailable (non-injective truncation)")
-    if all(r == 1 for r in seq.ranks):
-        try:
-            print(f"{prefix}steinitz: {invariants.steinitz(seq)}")
-        except ValueError as exc:
-            print(f"{prefix}steinitz: unavailable ({exc})")
+    if not all(r == 1 for r in seq.ranks):
+        return None
+    try:
+        s = invariants.steinitz(seq)
+    except ValueError as exc:
+        print(f"{prefix}steinitz: unavailable ({exc})")
+        return None
+    print(f"{prefix}steinitz: {s}")
+    return s
 
 
 def _cmd_invariants(args) -> int:
@@ -197,9 +204,8 @@ def _cmd_invariants(args) -> int:
         _print_single_invariants("", seqA)
         return EXIT_OK
     seqB = _load_diagram(args.diagram_b)
-    _print_single_invariants("A", seqA)
-    _print_single_invariants("B", seqB)
-    report = invariants.noniso_evidence(seqA, seqB)
+    pair = (_print_single_invariants("A", seqA), _print_single_invariants("B", seqB))
+    report = invariants.noniso_evidence(seqA, seqB, steinitz_pair=pair)
     if report.empty:
         print("evidence: none")
     for entry in report.entries:
@@ -273,9 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call, not at import; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, FormatError) as exc:

@@ -9,7 +9,6 @@ so a document either yields a clean diagram or a structured error.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .colimit import ColimitElement
 from .confluence import CertificatePeriod, ConfluenceCertificate
@@ -52,18 +51,29 @@ def _expect_obj(value: object, path: str) -> dict:
     return value
 
 
+def _ints(value: object, path: str) -> list:
+    """``value`` as a list of integers; as in :func:`_matrix`, entry
+    paths are built only for a faulty list."""
+    items = _expect_list(value, path)
+    if not all(type(x) is int for x in items):
+        for n, x in enumerate(items):
+            _expect_int(x, f"{path}[{n}]")
+    return items
+
+
 def _matrix(value: object, path: str) -> Matrix:
+    """Check the rows in bulk; only a faulty document walks them again,
+    entry by entry, to name the first fault's field path."""
     rows = _expect_list(value, path)
-    data = []
-    width: Optional[int] = None
-    for r, row in enumerate(rows):
-        row = _expect_list(row, f"{path}[{r}]")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"ragged matrix rows at {path}[{r}]")
-        data.append([_expect_int(x, f"{path}[{r}][{c}]") for c, x in enumerate(row)])
-    return Matrix(data, cols=width if width is not None else 0)
+    width = len(rows[0]) if rows and type(rows[0]) is list else 0
+    if not all(type(row) is list and len(row) == width and all(type(x) is int for x in row) for row in rows):
+        for r, row in enumerate(rows):
+            _expect_list(row, f"{path}[{r}]")
+            if len(row) != width:
+                raise FormatError(f"ragged matrix rows at {path}[{r}]")
+            for c, x in enumerate(row):
+                _expect_int(x, f"{path}[{r}][{c}]")
+    return Matrix._make(tuple(map(tuple, rows)), width)
 
 
 def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
@@ -74,7 +84,7 @@ def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
     mono = doc.get("mono", False)
     if not isinstance(mono, bool):
         raise FormatError("mono must be a boolean")
-    ranks = [_expect_int(r, f"ranks[{n}]") for n, r in enumerate(_expect_list(doc.get("ranks"), "ranks"))]
+    ranks = _ints(doc.get("ranks"), "ranks")
     if not ranks:
         raise FormatError("ranks must be nonempty")
     transitions = [
@@ -113,8 +123,8 @@ def emit_diagram(seq: SequenceDiagram) -> str:
 
 def parse_certificate(text: str) -> ConfluenceCertificate:
     doc = _expect_obj(_loads(text), "document")
-    i_idx = [_expect_int(x, f"i_indices[{n}]") for n, x in enumerate(_expect_list(doc.get("i_indices"), "i_indices"))]
-    k_idx = [_expect_int(x, f"k_indices[{n}]") for n, x in enumerate(_expect_list(doc.get("k_indices"), "k_indices"))]
+    i_idx = _ints(doc.get("i_indices"), "i_indices")
+    k_idx = _ints(doc.get("k_indices"), "k_indices")
     f_mats = [_matrix(m, f"f_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("f_mats"), "f_mats"))]
     g_mats = [_matrix(m, f"g_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("g_mats"), "g_mats"))]
     periodic = None

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from sympy import factorint
-
 from .diagrams import SequenceDiagram, validate
 
 INFINITE = math.inf
@@ -85,6 +83,17 @@ def _multipliers(seq: SequenceDiagram) -> list:
             raise ValueError(f"zero multiplier at transition {t}")
         ms.append(abs(x))
     return ms
+
+
+def factorint(n: int) -> dict:
+    """Prime -> exponent of ``n > 0``.
+
+    Only the Steinitz invariants factor integers, so sympy is imported on
+    the first call rather than with the package.
+    """
+    from sympy import factorint as sympy_factorint
+
+    return sympy_factorint(n)
 
 
 def _valuations(ms: list) -> dict:
@@ -157,7 +166,10 @@ class EvidenceReport:
 
 
 def noniso_evidence(
-    seqA: SequenceDiagram, seqB: SequenceDiagram, indicative_threshold: int = 2
+    seqA: SequenceDiagram,
+    seqB: SequenceDiagram,
+    indicative_threshold: int = 2,
+    steinitz_pair: tuple | None = None,
 ) -> EvidenceReport:
     """Distinguishing facts between two diagrams.
 
@@ -165,6 +177,10 @@ def noniso_evidence(
     (stabilized rank mismatch, inequivalent supernatural numbers);
     INDICATIVE entries only record prefix divergence and carry an
     explicit disclaimer.
+
+    A caller that already computed ``steinitz`` of both rank-1 diagrams
+    passes the results as ``steinitz_pair``, with None for one that
+    raised ``ValueError``, so no period product is factored twice.
     """
     report = EvidenceReport()
     for name, seq in (("A", seqA), ("B", seqB)):
@@ -185,10 +201,13 @@ def noniso_evidence(
             )
     rank1 = all(r == 1 for r in seqA.ranks) and all(r == 1 for r in seqB.ranks)
     if rank1:
-        try:
-            sA = steinitz(seqA)
-            sB = steinitz(seqB)
-        except ValueError:
+        if steinitz_pair is None:
+            try:
+                steinitz_pair = (steinitz(seqA), steinitz(seqB))
+            except ValueError:
+                return report
+        sA, sB = steinitz_pair
+        if sA is None or sB is None:
             return report
         if seqA.period is not None and seqB.period is not None:
             if not sA.equivalent(sB):

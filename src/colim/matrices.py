@@ -47,7 +47,7 @@ class Matrix:
     @classmethod
     def _make(cls, entries: tuple, cols: int) -> "Matrix":
         """A matrix from a tuple of ``cols``-long tuples of ints that the
-        library built itself, without the constructor's checks."""
+        library built or checked itself, without the constructor's checks."""
         m = object.__new__(cls)
         m.rows, m.cols, m.entries = len(entries), cols, entries
         return m

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from colim import confluence, diagrams
+from colim import confluence, diagrams, invariants
 from colim.cli import main
 
 from conftest import FIXTURES
@@ -14,6 +17,7 @@ FIB = str(FIXTURES / "fib.diag")
 X2_X4 = str(FIXTURES / "x2_x4.cert")
 FIB_SELF = str(FIXTURES / "fib_self.cert")
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -204,6 +208,13 @@ class TestInvariants:
         assert code == 0
         assert "evidence: none" in out
 
+    def test_pair_factors_each_period_product_once(self, capsys, monkeypatch):
+        factored = []
+        factorint = invariants.factorint
+        monkeypatch.setattr(invariants, "factorint", lambda n: factored.append(n) or factorint(n))
+        assert run(capsys, "invariants", X2, X4)[0] == 0
+        assert factored == [2, 4]
+
 
 class TestDeterminism:
     def test_exit_codes_are_stable_over_corpus(self, capsys):
@@ -219,3 +230,79 @@ class TestDeterminism:
         first = [run(capsys, *argv) for argv in corpus]
         second = [run(capsys, *argv) for argv in corpus]
         assert [(c, o) for c, o, _ in first] == [(c, o) for c, o, _ in second]
+
+
+def fresh_interpreter(*args):
+    """Run ``python -X importtime *args`` in a new process with ``src`` on
+    the path; returns the process and the names of the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, imported
+
+
+class TestColdStart:
+    def test_import_does_not_load_sympy(self):
+        proc, imported = fresh_interpreter("-c", "import colim, colim.cli")
+        assert proc.returncode == 0
+        assert "colim.cli" in imported
+        assert "sympy" not in imported
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", X2),
+        ("verify", X2, X4, X2_X4),
+        ("search", X2, X4),
+        ("map", X2, X4, X2_X4, "--element", "2:1"),
+        ("equal", X2, "--e1", "1:1", "--e2", "2:2", "--horizon", "4"),
+        ("cone", FIB, "--element", "1:1,-1", "--horizon", "5"),
+        ("divisible", X2, "--element", "1:1", "--m", "2", "--horizon", "6"),
+    ])
+    def test_commands_without_factorisation_do_not_load_sympy(self, argv):
+        proc, imported = fresh_interpreter("-m", "colim.cli", *argv)
+        assert proc.returncode == 0
+        assert "sympy" not in imported
+
+    def test_invariants_loads_sympy_and_prints_the_same_lines(self):
+        proc, imported = fresh_interpreter("-m", "colim.cli", "invariants", X2, X3)
+        assert proc.returncode == 0
+        assert "sympy" in imported
+        assert proc.stdout.splitlines() == [
+            "A.rank: 1",
+            "A.rank_stabilized: true",
+            "A.steinitz: 2^inf",
+            "B.rank: 1",
+            "B.rank_stabilized: true",
+            "B.steinitz: 3^inf",
+            "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf",
+        ]
+
+
+class TestRepeatedMain:
+    """Calls of ``main`` in one process share no state."""
+
+    def test_search_without_emit_after_search_with_emit(self, capsys, tmp_path):
+        out_file = tmp_path / "found.cert"
+        code, out, _ = run(capsys, "search", X2, X4, "--emit", str(out_file))
+        assert code == 0
+        assert f"emitted: {out_file}" in out
+        assert main(["search", X2, X4]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "search_x2_x4.out").read_text(encoding="utf-8")
+
+    def test_map_forward_after_map_backward(self, capsys):
+        code, out, _ = run(capsys, "map", X2, X4, X2_X4, "--element", "1:1", "--backward")
+        assert (code, out) == (0, ["image: 3:4"])
+        code, out, _ = run(capsys, "map", X2, X4, X2_X4, "--element", "2:1")
+        assert (code, out) == (0, ["image: 2:2"])
+
+    def test_good_call_after_user_error(self, capsys):
+        assert run(capsys, "validate", "no_such_file.diag")[0] == 2
+        assert run(capsys, "validate", X2)[0] == 0
+
+    def test_good_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", X2, X4, "--depth", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "search", X2, X4, "--depth", "3")
+        assert code == 0
+        assert "status: found" in out

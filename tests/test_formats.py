@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from colim.colimit import ColimitElement
@@ -26,6 +28,50 @@ class TestParseDiagram:
         text = '{"mode": "plain", "mono": true, "ranks": [1, 1], "transitions": [[[2.5]]]}'
         with pytest.raises(FormatError, match=r"non-integer entry at transitions\[0\]\[0\]\[0\]"):
             parse_diagram(text)
+
+    @pytest.mark.parametrize("literal, message", [
+        ("2.5", "non-integer entry"),
+        ("true", "expected an integer"),
+        ('"7"', "expected an integer"),
+    ])
+    @pytest.mark.parametrize("r, c", [(r, c) for r in range(3) for c in range(3)])
+    def test_bad_entry_named_at_each_position(self, literal, message, r, c):
+        rows = [["1"] * 3 for _ in range(3)]
+        rows[r][c] = literal
+        bad = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+        ident = "[[1,0,0],[0,1,0],[0,0,1]]"
+        text = f'{{"mode": "plain", "ranks": [3, 3, 3], "transitions": [{ident}, {bad}]}}'
+        with pytest.raises(FormatError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == f"{message} at transitions[1][{r}][{c}]"
+        text = f'{{"i_indices": [1], "k_indices": [1], "f_mats": [{bad}], "g_mats": []}}'
+        with pytest.raises(FormatError) as exc:
+            parse_certificate(text)
+        assert str(exc.value) == f"{message} at f_mats[0][{r}][{c}]"
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("row, message", [
+        ([1], "ragged matrix rows"),
+        ([1, 2, 3], "ragged matrix rows"),
+        (5, "expected an array"),
+    ])
+    def test_bad_row_named_at_each_position(self, r, row, message):
+        rows = [[1, 2], [3, 4], [5, 6]]
+        rows[r] = row
+        rows[r - 1] = [1, 2.5]  # a fault in an earlier row is reported first
+        doc = {"mode": "plain", "ranks": [2, 3], "transitions": [rows]}
+        with pytest.raises(FormatError, match=r"non-integer entry at transitions\[0\]"):
+            parse_diagram(json.dumps(doc))
+        rows[r - 1] = [1, 2]
+        with pytest.raises(FormatError) as exc:
+            parse_diagram(json.dumps(doc))
+        assert str(exc.value) == f"{message} at transitions[0][{r}]"
+
+    def test_bad_index_named(self):
+        with pytest.raises(FormatError, match=r"^expected an integer at ranks\[1\]$"):
+            parse_diagram('{"mode": "plain", "ranks": [1, false], "transitions": [[[1]]]}')
+        with pytest.raises(FormatError, match=r"^non-integer entry at k_indices\[2\]$"):
+            parse_certificate('{"i_indices": [1], "k_indices": [1, 2, 3.0], "f_mats": [], "g_mats": []}')
 
     def test_simplicial_negativity_surfaced_at_parse(self, fixtures_dir):
         with pytest.raises(FormatError, match="negative entry at transition 1"):

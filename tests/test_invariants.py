@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from colim import invariants
 from colim.confluence import SearchBudget, search_confluence
 from colim.diagrams import SequenceDiagram
 from colim.invariants import (
@@ -131,6 +132,15 @@ class TestNonIsoEvidence:
         assert not report.conclusive
         assert any(e.strength == INDICATIVE for e in report.entries)
         assert all("cannot refute" in e.message for e in report.entries if e.strength == INDICATIVE)
+
+    def test_given_steinitz_pair_is_used_as_is(self, monkeypatch):
+        x2, x3 = rank1([2, 2], period=(0, 1)), rank1([3, 3], period=(0, 1))
+        zero = rank1([0, 2], mono=False)
+        expected = [noniso_evidence(x2, x3), noniso_evidence(x2, zero)]
+        pair = (steinitz(x2), steinitz(x3))
+        monkeypatch.setattr(invariants, "factorint", None)  # any factorisation raises
+        assert noniso_evidence(x2, x3, steinitz_pair=pair) == expected[0]
+        assert noniso_evidence(x2, zero, steinitz_pair=(pair[0], None)) == expected[1]
 
     def test_consistent_with_found_certificates(self):
         pairs = [
