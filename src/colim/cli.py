@@ -177,9 +177,9 @@ def _cmd_divisible(args) -> int:
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
-def _print_single_invariants(label: str, seq):
-    """Print the rank and Steinitz lines of ``seq``; return its Steinitz
-    invariant, or None if it has none."""
+def _print_single_invariants(label: str, seq, s):
+    """Print the rank and Steinitz lines of ``seq``, whose ``steinitz_each``
+    entry is ``s``; return its Steinitz invariant, or None if it has none."""
     prefix = f"{label}." if label else ""
     if seq.mono_required:
         r, stab = invariants.colimit_rank(seq)
@@ -189,23 +189,23 @@ def _print_single_invariants(label: str, seq):
         print(f"{prefix}rank: unavailable (non-injective truncation)")
     if not all(r == 1 for r in seq.ranks):
         return None
-    try:
-        s = invariants.steinitz(seq)
-    except ValueError as exc:
-        print(f"{prefix}steinitz: unavailable ({exc})")
+    if isinstance(s, ValueError):
+        print(f"{prefix}steinitz: unavailable ({s})")
         return None
     print(f"{prefix}steinitz: {s}")
     return s
 
 
 def _cmd_invariants(args) -> int:
-    seqA = _load_diagram(args.diagram_a)
-    if args.diagram_b is None:
-        _print_single_invariants("", seqA)
+    seqs = [_load_diagram(args.diagram_a)]
+    if args.diagram_b is not None:
+        seqs.append(_load_diagram(args.diagram_b))
+    found = invariants.steinitz_each(seqs)
+    if len(seqs) == 1:
+        _print_single_invariants("", seqs[0], found[0])
         return EXIT_OK
-    seqB = _load_diagram(args.diagram_b)
-    pair = (_print_single_invariants("A", seqA), _print_single_invariants("B", seqB))
-    report = invariants.noniso_evidence(seqA, seqB, steinitz_pair=pair)
+    pair = tuple(_print_single_invariants(label, seq, s) for label, seq, s in zip("AB", seqs, found))
+    report = invariants.noniso_evidence(*seqs, steinitz_pair=pair)
     if report.empty:
         print("evidence: none")
     for entry in report.entries:

@@ -17,6 +17,15 @@ denominators by finitely many primes, each by a finite power, and every
 isomorphism of subgroups of the rationals is multiplication by a
 rational.  Hence isomorphism holds exactly up to finite differences in
 finitely many exponents.
+
+No decision here factors an integer.  The multipliers of the diagrams a
+call sees are refined with gcds alone into a *coprime base* (Bernstein,
+"Factoring into coprimes in essentially linear time", J. Algorithms
+2005): pairwise coprime integers of which every multiplier is a product
+of powers.  A prime's exponent in a multiplier is that of its base
+element times its exponent in that element, so two period products have
+the same primes exactly when the same base elements divide them.  A base
+element is factored, at most once, only when its primes are printed.
 """
 
 from __future__ import annotations
@@ -88,21 +97,79 @@ def _multipliers(seq: SequenceDiagram) -> list:
 def factorint(n: int) -> dict:
     """Prime -> exponent of ``n > 0``.
 
-    Only the Steinitz invariants factor integers, so sympy is imported on
-    the first call rather than with the package.
+    Only printing a Steinitz invariant's primes factors integers, so sympy
+    is imported on the first call rather than with the package.
     """
     from sympy import factorint as sympy_factorint
 
     return sympy_factorint(n)
 
 
-def _valuations(ms: list) -> dict:
-    """Prime -> sum of the valuations of the multipliers ``ms``."""
-    exps: dict = {}
-    for m in ms:
-        for p, e in factorint(m).items():
-            exps[p] = exps.get(p, 0) + e
-    return exps
+class _CoprimeBase:
+    """A coprime base of some multipliers: pairwise coprime integers > 1 of
+    which every multiplier is a product of powers, found with gcds alone.
+    Elements are factored into primes only when a caller asks for primes,
+    each at most once.
+
+    A base element ``b`` and a pending ``x`` with ``g = gcd(x, b) > 1`` give
+    way to those of ``g``, ``b // g`` and ``x // g`` above 1.  Each such
+    split divides the product of the base and the pending integers by
+    ``g >= 2``, so there are at most ``log2`` of the inputs' product splits.
+
+    ``primes`` are integers known to be prime.  They join the base, so when
+    they include every prime of the multipliers, each base element is one
+    of them and nothing is factored.
+    """
+
+    def __init__(self, ms, primes=()):
+        self.elements: list = []
+        pending = [n for n in (*ms, *primes) if n > 1]
+        while pending:
+            x = pending.pop()
+            for i, b in enumerate(self.elements):
+                g = math.gcd(x, b)
+                if g > 1:
+                    del self.elements[i]
+                    pending += [y for y in (g, b // g, x // g) if y > 1]
+                    break
+            else:
+                self.elements.append(x)
+        self._factors = {p: {p: 1} for p in primes}
+
+    def exponents(self, ms) -> dict:
+        """Base element -> its exponent in the product of ``ms``."""
+        exps: dict = {}
+        for m in ms:
+            for q in self.elements:
+                while m % q == 0:
+                    m //= q
+                    exps[q] = exps.get(q, 0) + 1
+        return exps
+
+    def supernatural(self, seq: SequenceDiagram, ms: list) -> dict:
+        """Base element -> exponent of the Steinitz invariant of ``seq``,
+        whose multipliers are ``ms``: infinity for the elements of the
+        period product, else the sum over the prefix (over all ``ms``
+        without a period)."""
+        if seq.period is None:
+            return self.exponents(ms)
+        prefix, length = seq.period
+        exps = self.exponents(ms[:prefix])
+        exps.update((q, INFINITE) for q in self.exponents(ms[prefix : prefix + length]))
+        return exps
+
+    def primes(self, exps: dict) -> dict:
+        """Prime -> exponent of the product of ``q ** e`` over ``exps``."""
+        out: dict = {}
+        for q, e in exps.items():
+            if q not in self._factors:
+                self._factors[q] = factorint(q)
+            # distinct base elements are coprime, so no prime repeats
+            out.update((p, e * a) for p, a in self._factors[q].items())
+        return out
+
+    def steinitz(self, seq: SequenceDiagram, ms: list) -> SupernaturalNumber:
+        return SupernaturalNumber.from_dict(self.primes(self.supernatural(seq, ms)))
 
 
 def steinitz(seq: SequenceDiagram) -> SupernaturalNumber:
@@ -113,16 +180,22 @@ def steinitz(seq: SequenceDiagram) -> SupernaturalNumber:
     product get infinity and the rest keep their prefix contribution.
     """
     ms = _multipliers(seq)
-    if seq.period is None:
-        return SupernaturalNumber.from_dict(_valuations(ms))
-    prefix, length = seq.period
-    period_product = 1
-    for m in ms[prefix : prefix + length]:
-        period_product *= m
-    infinite = set(factorint(period_product))
-    exps = _valuations(ms[:prefix])
-    exps.update((p, INFINITE) for p in infinite)
-    return SupernaturalNumber.from_dict(exps)
+    return _CoprimeBase(ms).steinitz(seq, ms)
+
+
+def steinitz_each(seqs: list) -> list:
+    """``steinitz`` of every sequence in ``seqs``, over one coprime base of
+    all their multipliers, so that each base element is factored at most
+    once.  Where ``steinitz`` would raise ``ValueError``, the error stands
+    in the list in place of the invariant."""
+    found: list = []
+    for seq in seqs:
+        try:
+            found.append(_multipliers(seq))
+        except ValueError as exc:
+            found.append(exc)
+    base = _CoprimeBase([m for ms in found if isinstance(ms, list) for m in ms])
+    return [ms if isinstance(ms, ValueError) else base.steinitz(seq, ms) for seq, ms in zip(seqs, found)]
 
 
 def colimit_rank(seq: SequenceDiagram) -> tuple:
@@ -178,9 +251,12 @@ def noniso_evidence(
     INDICATIVE entries only record prefix divergence and carry an
     explicit disclaimer.
 
-    A caller that already computed ``steinitz`` of both rank-1 diagrams
-    passes the results as ``steinitz_pair``, with None for one that
-    raised ``ValueError``, so no period product is factored twice.
+    The rank-1 verdict compares the base elements of the two period
+    products and factors nothing; only the primes an entry prints are
+    factored.  A caller that already computed ``steinitz`` of both rank-1
+    diagrams passes the results as ``steinitz_pair``, with None for one
+    that raised ``ValueError``; their primes then join the coprime base,
+    so nothing is factored again.
     """
     report = EvidenceReport()
     for name, seq in (("A", seqA), ("B", seqB)):
@@ -199,36 +275,43 @@ def noniso_evidence(
             report.entries.append(
                 Evidence(CONCLUSIVE, f"stabilized colimit ranks differ: {ra} vs {rb}")
             )
-    rank1 = all(r == 1 for r in seqA.ranks) and all(r == 1 for r in seqB.ranks)
-    if rank1:
-        if steinitz_pair is None:
-            try:
-                steinitz_pair = (steinitz(seqA), steinitz(seqB))
-            except ValueError:
-                return report
-        sA, sB = steinitz_pair
-        if sA is None or sB is None:
+    if not all(r == 1 for r in seqA.ranks) or not all(r == 1 for r in seqB.ranks):
+        return report
+    known: set = set()
+    if steinitz_pair is not None:
+        if any(s is None for s in steinitz_pair):
             return report
-        if seqA.period is not None and seqB.period is not None:
-            if not sA.equivalent(sB):
+        known = {p for s in steinitz_pair for p, _ in s.exponents}
+    try:
+        msA, msB = _multipliers(seqA), _multipliers(seqB)
+    except ValueError:
+        return report
+    base = _CoprimeBase(msA + msB, known)
+    if seqA.period is not None and seqB.period is not None:
+        expsA, expsB = base.supernatural(seqA, msA), base.supernatural(seqB, msB)
+        infinite = [{q for q, e in exps.items() if e == INFINITE} for exps in (expsA, expsB)]
+        if infinite[0] != infinite[1]:
+            sA, sB = (SupernaturalNumber.from_dict(base.primes(e)) for e in (expsA, expsB))
+            report.entries.append(
+                Evidence(
+                    CONCLUSIVE,
+                    f"supernatural invariants inequivalent: {sA} vs {sB}",
+                )
+            )
+    else:
+        count = min(len(msA), len(msB))
+        expsA, expsB = base.exponents(msA[:count]), base.exponents(msB[:count])
+        gaps = {q: abs(expsA.get(q, 0) - expsB.get(q, 0)) for q in expsA.keys() | expsB.keys()}
+        # a prime's gap is its base element's gap times its exponent there;
+        # a zero gap is printed only under a threshold of 0 or less
+        gaps = base.primes({q: g for q, g in gaps.items() if g or indicative_threshold <= 0})
+        for p in sorted(gaps):
+            if gaps[p] >= indicative_threshold:
                 report.entries.append(
                     Evidence(
-                        CONCLUSIVE,
-                        f"supernatural invariants inequivalent: {sA} vs {sB}",
+                        INDICATIVE,
+                        f"prime {p} exponent differs by {gaps[p]} over "
+                        f"equal-length prefixes ({PREFIX_DISCLAIMER})",
                     )
                 )
-        else:
-            count = min(len(seqA.transitions), len(seqB.transitions))
-            va = _valuations(_multipliers(seqA)[:count])
-            vb = _valuations(_multipliers(seqB)[:count])
-            for p in sorted(set(va) | set(vb)):
-                gap = abs(va.get(p, 0) - vb.get(p, 0))
-                if gap >= indicative_threshold:
-                    report.entries.append(
-                        Evidence(
-                            INDICATIVE,
-                            f"prime {p} exponent differs by {gap} over "
-                            f"equal-length prefixes ({PREFIX_DISCLAIMER})",
-                        )
-                    )
     return report

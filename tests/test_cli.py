@@ -7,8 +7,9 @@ import pytest
 
 from colim import confluence, diagrams, invariants
 from colim.cli import main
+from colim.formats import emit_diagram
 
-from conftest import FIXTURES
+from conftest import FIXTURES, rank1
 
 X2 = str(FIXTURES / "x2.diag")
 X3 = str(FIXTURES / "x3.diag")
@@ -133,10 +134,13 @@ class TestSearch:
             (("search", X2, X4), "search_x2_x4.out"),
             (("search", FIB, FIB, "--depth", "2", "--bound", "2", "--horizon", "8"),
              "search_fib_fib.out"),
+            (("invariants", X2, X3), "invariants_x2_x3.out"),
+            (("invariants", X2, X4), "invariants_x2_x4.out"),
         ],
     )
     def test_output_matches_golden(self, capsys, argv, golden):
-        # pins the search order: the first certificate found, byte for byte
+        # pins the search order (the first certificate found) and the
+        # printed invariants, byte for byte
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
@@ -208,12 +212,27 @@ class TestInvariants:
         assert code == 0
         assert "evidence: none" in out
 
-    def test_pair_factors_each_period_product_once(self, capsys, monkeypatch):
+    def test_pair_factors_each_base_element_once(self, capsys, monkeypatch):
+        # x2 and x4 share the coprime base {2}
         factored = []
         factorint = invariants.factorint
         monkeypatch.setattr(invariants, "factorint", lambda n: factored.append(n) or factorint(n))
         assert run(capsys, "invariants", X2, X4)[0] == 0
-        assert factored == [2, 4]
+        assert factored == [2]
+
+    def test_indicative_pair_factors_each_base_element_once(self, capsys, monkeypatch, tmp_path):
+        paths = []
+        for name, mults in (("a", [4, 6]), ("b", [3, 9, -3])):
+            paths.append(tmp_path / f"{name}.diag")
+            paths[-1].write_text(emit_diagram(rank1(mults)))
+        factored = []
+        factorint = invariants.factorint
+        monkeypatch.setattr(invariants, "factorint", lambda n: factored.append(n) or factorint(n))
+        code, out, _ = run(capsys, "invariants", *map(str, paths))
+        assert code == 0
+        assert [line.split(" exponent")[0] for line in out if line.startswith("evidence")] == [
+            "evidence: INDICATIVE prime 2", "evidence: INDICATIVE prime 3"]
+        assert sorted(factored) == [2, 3]
 
 
 class TestDeterminism:
@@ -260,6 +279,17 @@ class TestColdStart:
     def test_commands_without_factorisation_do_not_load_sympy(self, argv):
         proc, imported = fresh_interpreter("-m", "colim.cli", *argv)
         assert proc.returncode == 0
+        assert "sympy" not in imported
+
+    def test_rank1_verdict_does_not_load_sympy(self):
+        code = (
+            "from pathlib import Path; from colim.formats import parse_diagram; "
+            "from colim.invariants import noniso_evidence; "
+            f"print(noniso_evidence(*(parse_diagram(Path(p).read_text()) for p in {[X2, X4]!r})).empty)"
+        )
+        proc, imported = fresh_interpreter("-c", code)
+        assert proc.returncode == 0
+        assert proc.stdout == "True\n"
         assert "sympy" not in imported
 
     def test_invariants_loads_sympy_and_prints_the_same_lines(self):

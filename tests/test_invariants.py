@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+from sympy import factorint, isprime
 
 from colim import invariants
 from colim.confluence import SearchBudget, search_confluence
@@ -8,6 +10,9 @@ from colim.diagrams import SequenceDiagram
 from colim.invariants import (
     CONCLUSIVE,
     INDICATIVE,
+    PREFIX_DISCLAIMER,
+    Evidence,
+    EvidenceReport,
     SupernaturalNumber,
     colimit_rank,
     noniso_evidence,
@@ -151,3 +156,119 @@ class TestNonIsoEvidence:
             cert = search_confluence(a, b, SearchBudget(3, 8, 12, 200000))
             assert cert is not None
             assert not noniso_evidence(a, b).conclusive
+
+    def test_verdict_factors_nothing(self, monkeypatch):
+        m61, m89, m107 = 2**61 - 1, 2**89 - 1, 2**107 - 1
+        a = rank1([m89 * m107], period=(0, 1))
+        b = rank1([3, m107, m89], period=(1, 2))
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(invariants, "factorint", refuse)
+        assert noniso_evidence(a, b).empty
+        calls = []
+        monkeypatch.setattr(invariants, "factorint", lambda n: calls.append(n) or factorint(n))
+        report = noniso_evidence(a, rank1([m89 * m61], period=(0, 1)))
+        assert report.conclusive
+        assert sorted(calls) == [m61, m89, m107]
+
+    def test_indicative_factors_each_base_element_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(invariants, "factorint", lambda n: calls.append(n) or factorint(n))
+        report = noniso_evidence(rank1([4, 6]), rank1([3, 9, -3]))
+        assert [e.message.split(" exponent")[0] for e in report.entries] == ["prime 2", "prime 3"]
+        assert sorted(calls) == [2, 3]
+
+
+# -- oracle: the per-multiplier factorisation the coprime base replaced ------
+
+
+def reference_multipliers(seq):
+    ms = [m[0, 0] for m in seq.transitions]
+    if 0 in ms:
+        raise ValueError(f"zero multiplier at transition {ms.index(0) + 1}")
+    return [abs(m) for m in ms]
+
+
+def reference_valuations(ms):
+    exps = {}
+    for m in ms:
+        for p, e in factorint(m).items():
+            exps[p] = exps.get(p, 0) + e
+    return exps
+
+
+def reference_steinitz(seq):
+    ms = reference_multipliers(seq)
+    if seq.period is None:
+        return SupernaturalNumber.from_dict(reference_valuations(ms))
+    prefix, length = seq.period
+    exps = reference_valuations(ms[:prefix])
+    exps.update((p, INF) for p in reference_valuations(ms[prefix : prefix + length]))
+    return SupernaturalNumber.from_dict(exps)
+
+
+def reference_evidence(a, b, threshold):
+    """``noniso_evidence`` of two valid plain rank-1 diagrams."""
+    report = EvidenceReport()
+    try:
+        sa, sb = reference_steinitz(a), reference_steinitz(b)
+    except ValueError:
+        return report
+    if a.period is not None and b.period is not None:
+        if sa.infinite_primes != sb.infinite_primes:
+            report.entries.append(Evidence(CONCLUSIVE, f"supernatural invariants inequivalent: {sa} vs {sb}"))
+        return report
+    count = min(len(a.transitions), len(b.transitions))
+    va = reference_valuations(reference_multipliers(a)[:count])
+    vb = reference_valuations(reference_multipliers(b)[:count])
+    for p in sorted(set(va) | set(vb)):
+        gap = abs(va.get(p, 0) - vb.get(p, 0))
+        if gap >= threshold:
+            report.entries.append(
+                Evidence(INDICATIVE, f"prime {p} exponent differs by {gap} over "
+                         f"equal-length prefixes ({PREFIX_DISCLAIMER})")
+            )
+    return report
+
+
+def random_rank1(rng, primes):
+    """A valid plain rank-1 diagram whose multipliers are signed products
+    of ``primes``, with now and then a 1 or a 0 (then not mono)."""
+    def multiplier():
+        r = rng.random()
+        if r < 0.05:
+            return 0
+        if r < 0.1:
+            return 1
+        m = math.prod(rng.choice(primes) ** rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+        return -m if rng.random() < 0.25 else m
+
+    period = (rng.randint(0, 2), rng.randint(1, 2)) if rng.random() < 0.6 else None
+    ms = [multiplier() for _ in range(sum(period) if period else rng.randint(1, 4))]
+    return rank1(ms, mono=0 not in ms, period=period)
+
+
+class TestCoprimeBaseOracle:
+    def test_matches_per_multiplier_factorisation(self):
+        rng = random.Random(8008)
+        kinds = set()
+        for _ in range(320):
+            big = [p for p in (rng.randrange(2**14, 2**16) | 1 for _ in range(40)) if isprime(p)]
+            shared = big[: rng.randint(1, 2)]
+            small = rng.sample([2, 3, 5, 7], rng.randint(0, 2))
+            a = random_rank1(rng, shared + small + big[2:3])
+            b = random_rank1(rng, shared + small + big[3:4])
+            kinds.add((a.period is None, b.period is None))
+            for seq in (a, b):
+                try:
+                    want = reference_steinitz(seq)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        steinitz(seq)
+                    continue
+                assert steinitz(seq) == want
+            threshold = rng.randint(0, 3)
+            assert noniso_evidence(a, b, threshold) == reference_evidence(a, b, threshold)
+        assert len(kinds) == 4
