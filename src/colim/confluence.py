@@ -17,13 +17,14 @@ its budget, so a failed search is never evidence of non-isomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, transition, validate
-from .matrices import iter_matrices, solve_matrix_eq
+from .matrices import Matrix, iter_matrices, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -270,24 +271,17 @@ class SearchBudget:
 
 
 def _composites(seq: SequenceDiagram, last: int):
-    """A function that iterates ``(j, transition(seq, i, j))`` for
-    ``j = i + 1 .. last``.
+    """A function that gives the list of ``(j, transition(seq, i, j))``
+    for ``j = i + 1 .. last``, built one step at a time on the first call
+    for each start stage ``i`` and kept for the next ones."""
 
-    The list for each start stage ``i`` is built one step at a time, as
-    far as some iteration has read it, and kept for the next one.
-    """
-    built: dict = {}
-
-    def from_stage(i: int):
-        done = built.setdefault(i, [])
-        for n in itertools.count():
-            if n == len(done):
-                j = i + 1 + n
-                if j > last:
-                    return
-                step = transition(seq, j - 1, j)
-                done.append((j, step * done[-1][1] if done else step))
-            yield done[n]
+    @functools.cache
+    def from_stage(i: int) -> list:
+        done: list = []
+        for j in range(i + 1, last + 1):
+            step = transition(seq, j - 1, j)
+            done.append((j, step * done[-1][1] if done else step))
+        return done
 
     return from_stage
 
@@ -325,23 +319,36 @@ class _Search:
 
     def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
         """One half-level: the next map ``h`` solves
-        ``h * maps[-1] = transition(stages[-2], next)`` on the side of ``stages[-2]``."""
+        ``h * maps[-1] = transition(stages[-2], next)`` on the side of
+        ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place."""
         if len(maps) == 2 * self.budget.depth - 1:
             return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
+        targets = self.composites[len(stages) % 2](stages[-2])
+        if not targets:
+            return None
         k = maps[-1]
         key = (k.cols, k.entries)
         solver = self.solvers.get(key)
-        for nxt, target in self.composites[len(stages) % 2](stages[-2]):
-            if solver is None:
-                solver = self.solvers[key] = solve_matrix_eq(k, target, self.constraint, self.budget.entry_bound)
-                solutions = solver
-            else:
-                solutions = solver._retarget(target)
-            for h in solutions:
+        if solver is None:
+            solver = self.solvers[key] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
+        # the consistent targets are a suffix: walk back from the horizon
+        # to the first inconsistent one
+        live = []
+        for nxt, target in reversed(targets):
+            streams = solver._streams(target.entries)
+            if streams is None:
+                break
+            live.append((nxt, streams))
+        for nxt, streams in reversed(live):
+            stages.append(nxt)
+            for rows in itertools.product(*streams):
                 self.nodes.tick()
-                found = self.extend(stages + [nxt], maps + [h])
+                maps.append(Matrix._make(rows, k.rows))
+                found = self.extend(stages, maps)
                 if found is not None:
                     return found
+                maps.pop()
+            stages.pop()
         return None
 
 
@@ -354,13 +361,21 @@ def search_confluence(
     empty result means only that the budgeted space holds no certificate;
     it is never evidence of non-isomorphism.
 
-    Each half-level solves ``h * K = T`` for the next map, and the same
-    few systems recur all over the tree.  So within one search each
-    distinct ``K`` is eliminated once, by one
-    :func:`~colim.matrices.solve_matrix_eq`, and each distinct
-    ``(K, T)`` substituted and its row streams built once; the
-    solutions come in the order :func:`~colim.matrices.solve_matrix_eq`
-    gives.
+    Each half-level solves ``h * K = T_j`` for the next map, with
+    ``T_j = transition(s, j)`` from the side's stage ``s`` to each later
+    stage ``j`` up to the horizon, and the same few systems recur all over
+    the tree.  So within one search each distinct ``K`` is eliminated
+    once, by one :func:`~colim.matrices.solve_matrix_eq` aimed at the
+    horizon target, and each distinct ``(K, T)`` substituted and its row
+    streams built once; the solutions come in the order
+    :func:`~colim.matrices.solve_matrix_eq` gives.
+
+    Pruning: the targets with an integer solution form a suffix of
+    ``j``, since if ``h * K = T_j`` then
+    ``(transition(j, j') * h) * K = T_{j'}`` for every ``j' > j``.  So a
+    half-level tests the horizon target first and walks back only to the
+    first inconsistent target; the systems it skips have no solutions
+    and would visit no nodes.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")

@@ -116,14 +116,14 @@ class _CoprimeBase:
     split divides the product of the base and the pending integers by
     ``g >= 2``, so there are at most ``log2`` of the inputs' product splits.
 
-    ``primes`` are integers known to be prime.  They join the base, so when
-    they include every prime of the multipliers, each base element is one
-    of them and nothing is factored.
+    ``primes`` are distinct integers known to be prime.  They start the
+    base without a gcd, so when they include every prime of the
+    multipliers, each base element is one of them and nothing is factored.
     """
 
     def __init__(self, ms, primes=()):
-        self.elements: list = []
-        pending = [n for n in (*ms, *primes) if n > 1]
+        self.elements: list = list(primes)
+        pending = [n for n in ms if n > 1]
         while pending:
             x = pending.pop()
             for i, b in enumerate(self.elements):
@@ -255,8 +255,8 @@ def noniso_evidence(
     products and factors nothing; only the primes an entry prints are
     factored.  A caller that already computed ``steinitz`` of both rank-1
     diagrams passes the results as ``steinitz_pair``, with None for one
-    that raised ``ValueError``; their primes then join the coprime base,
-    so nothing is factored again.
+    that raised ``ValueError``; their primes are then the coprime base,
+    found without a gcd, and nothing is factored again.
     """
     report = EvidenceReport()
     for name, seq in (("A", seqA), ("B", seqB)):
@@ -286,7 +286,12 @@ def noniso_evidence(
         msA, msB = _multipliers(seqA), _multipliers(seqB)
     except ValueError:
         return report
-    base = _CoprimeBase(msA + msB, known)
+    # the primes of these diagrams' invariants are already a coprime base
+    # of all their multipliers, which the powers it finds multiply back to;
+    # anything else is refined with gcds
+    base = _CoprimeBase((), known)
+    if math.prod(q**e for q, e in base.exponents(msA + msB).items()) != math.prod(msA + msB):
+        base = _CoprimeBase(msA + msB, known)
     if seqA.period is not None and seqB.period is not None:
         expsA, expsB = base.supernatural(seqA, msA), base.supernatural(seqB, msB)
         infinite = [{q for q, e in exps.items() if e == INFINITE} for exps in (expsA, expsB)]

@@ -214,10 +214,6 @@ def _identity_rows(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _transpose(a: list) -> list:
-    return [list(col) for col in zip(*a)]
-
-
 def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: returns ``(s, u, v)`` with ``u*m*v = s``,
     ``s`` diagonal with ``d1 | d2 | ...``, ``di >= 0``, and ``u``, ``v``
@@ -232,32 +228,33 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     rows, cols = m.rows, m.cols
     if not rows or not cols:
         return m, Matrix.identity(rows), Matrix.identity(cols)
-    x, left, right = m.to_lists(), _identity_rows(rows), _identity_rows(cols)
+    # one block [[x, u], [v, 0]] with u*m*v = x; its transpose is the
+    # block of v^T * m^T * u^T = x^T, so one transpose flips the problem
+    block = [xr + ur for xr, ur in zip(m.to_lists(), _identity_rows(rows))]
+    block += [vr + [0] * rows for vr in _identity_rows(cols)]
     flipped = False
     while True:
-        a = [xr + lr for xr, lr in zip(x, left)]
-        pivots, _ = _echelon(a)
-        x, left = [row[:cols] for row in a], [row[cols:] for row in a]
-        diag = [x[i][c] for i, c in enumerate(pivots) if c < cols]
-        if all(c == i and not any(x[i][i + 1 :]) for i, c in enumerate(pivots[: len(diag)])):
+        top = block[:rows]
+        pivots, _ = _echelon(top)
+        block[:rows] = top
+        diag = [top[i][c] for i, c in enumerate(pivots) if c < cols]
+        if all(c == i and not any(top[i][i + 1 : cols]) for i, c in enumerate(pivots[: len(diag)])):
             bad = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
                         if diag[j] % diag[i]), None)
             if bad is None:
                 break
             i, j = bad
-            x[i] = [p + q for p, q in zip(x[i], x[j])]
-            left[i] = [p + q for p, q in zip(left[i], left[j])]
-        # u*m*v = x  becomes  v^T * m^T * u^T = x^T
-        x, left, right = _transpose(x), _transpose(right), _transpose(left)
+            block[i] = [p + q for p, q in zip(block[i], block[j])]
+        block = list(zip(*block))
         rows, cols = cols, rows
         flipped = not flipped
     if flipped:
-        x, left, right = _transpose(x), _transpose(right), _transpose(left)
+        block = list(zip(*block))
         rows, cols = cols, rows
     return (
-        Matrix._make(tuple(map(tuple, x)), cols),
-        Matrix._make(tuple(map(tuple, left)), rows),
-        Matrix._make(tuple(map(tuple, right)), cols),
+        Matrix._make(tuple(tuple(r[:cols]) for r in block[:rows]), cols),
+        Matrix._make(tuple(tuple(r[cols:]) for r in block[:rows]), rows),
+        Matrix._make(tuple(tuple(r[:cols]) for r in block[rows:]), cols),
     )
 
 
@@ -333,24 +330,30 @@ def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
     else ``(z0s, basis, pivots)`` with the solutions for the ``i``-th
     target given by ``{z0s[i] + sum p_j * basis[j]}``.
 
-    With ``u * k = h`` in echelon form, ``y = w * u`` where ``w * h = c``;
-    ``w`` follows by forward substitution through the pivots of ``h``,
-    its entries past the rank are free, and those rows of ``u`` span the
-    left kernel of ``k``.  The echelon runs on through ``u``, so these
-    basis rows are in echelon form too, with pivot columns ``pivots``.
+    With ``u * k = h`` in echelon form, ``y = w * u`` where ``w * h = c``.
+    One residual pass finds ``w``: starting from ``[c | 0]``, each pivot
+    row ``[h_j | u_j]`` is subtracted ``w_j`` times, the quotient at its
+    pivot column.  A remainder there, or anything left in the columns of
+    ``k``, means ``c`` is no integer combination of the rows of ``h``;
+    otherwise the residual is ``[0 | -w * u]``.  The entries of ``w``
+    past the rank are free, and those rows of ``u`` span the left kernel
+    of ``k``.  The echelon runs on through ``u``, so these basis rows are
+    in echelon form too, with pivot columns ``pivots``.
     """
     width, a, pivots, r = reduced
     z0s = []
+    tail = [0] * len(a)
     for c in targets:
-        w = []
-        for j, col in enumerate(pivots[:r]):
-            q, rem = divmod(c[col] - sum(w[i] * a[i][col] for i in range(j)), a[j][col])
+        v = [*c, *tail]
+        for row, col in zip(a, pivots[:r]):
+            q, rem = divmod(v[col], row[col])
             if rem:
                 return None
-            w.append(q)
-        if any(sum(w[i] * a[i][col] for i in range(r)) != c[col] for col in range(width)):
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        if any(v[:width]):
             return None
-        z0s.append(tuple(sum(w[j] * a[j][width + i] for j in range(r)) for i in range(len(a))))
+        z0s.append(tuple(-x for x in v[width:]))
     return z0s, [tuple(row[width:]) for row in a[r:]], [c - width for c in pivots[r:]]
 
 
@@ -392,9 +395,9 @@ class MatrixEqSolutions:
     those streams, first row outermost.  When iteration first starts,
     each row's stream is materialised in full and kept.
 
-    ``k`` is eliminated once, by :func:`_reduce`; :meth:`_retarget` gives
-    the solutions for another ``t`` from that elimination, and all of
-    them share each target's substitution and row streams.
+    ``k`` is eliminated once, by :func:`_reduce`; :meth:`_streams` gives
+    the row streams of another ``t`` of the same width from that
+    elimination, substituting each target once and keeping its streams.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -406,43 +409,38 @@ class MatrixEqSolutions:
             raise ValueError(f"unknown constraint {constraint!r}")
         if entry_bound < 0:
             raise ValueError("entry_bound must be >= 0")
+        if k.cols != t.cols:
+            raise ValueError(
+                f"shape mismatch: X*k has {k.cols} columns, t has {t.cols}"
+            )
         self.k = k
+        self.t = t
         self.entry_bound = entry_bound
         self.nonnegative = constraint == "nonnegative"
         self._reduced = _reduce(k)
-        self._targets: dict = {}  # t.entries -> [_substitute(...), row streams once iterated]
-        self._aim(t)
+        solved = _substitute(self._reduced, t.entries)
+        self._targets = {t.entries: [solved, None]}  # entries -> [_substitute(...), row streams]
+        self.consistent = solved is not None
 
-    def _aim(self, t: Matrix) -> None:
-        if self.k.cols != t.cols:
-            raise ValueError(
-                f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}"
-            )
-        self.t = t
-        target = self._targets.get(t.entries)
+    def _streams(self, entries: tuple):
+        """The row streams of ``X * k = t`` for the entries of a ``t`` as
+        wide as ``k``, or ``None`` when that system is inconsistent; each
+        target is substituted once and its streams are built once."""
+        target = self._targets.get(entries)
         if target is None:
-            target = self._targets[t.entries] = [_substitute(self._reduced, t.entries), None]
-        self._target = target
-        self.consistent = target[0] is not None
-
-    def _retarget(self, t: Matrix) -> "MatrixEqSolutions":
-        """The solutions of ``X * k = t`` for another ``t`` of the same
-        width, without a second elimination of ``k``."""
-        other = object.__new__(MatrixEqSolutions)
-        other.k, other.entry_bound, other.nonnegative = self.k, self.entry_bound, self.nonnegative
-        other._reduced, other._targets = self._reduced, self._targets
-        other._aim(t)
-        return other
-
-    def __iter__(self) -> Iterator[Matrix]:
-        solved, streams = self._target
-        if solved is None:
-            return
-        if streams is None:
+            target = self._targets[entries] = [_substitute(self._reduced, entries), None]
+        solved, streams = target
+        if streams is None and solved is not None:
             z0s, basis, pivots = solved
-            streams = self._target[1] = [
+            streams = target[1] = [
                 tuple(_row_stream(z0, basis, pivots, self.entry_bound, self.nonnegative)) for z0 in z0s
             ]
+        return streams
+
+    def __iter__(self) -> Iterator[Matrix]:
+        streams = self._streams(self.t.entries)
+        if streams is None:
+            return
         for rows in itertools.product(*streams):
             yield Matrix._make(rows, self.k.rows)
 

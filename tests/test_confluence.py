@@ -291,6 +291,61 @@ class TestSearch:
             found += cert is not None
             out_of_nodes += len(nodes) > budget.node_limit
         assert found >= 20 and out_of_nodes >= 10
+        # the shapes of the benchmark's library searches: ranks 1-3,
+        # entries within 3, depth 3, bound 3, 100 nodes
+        found = out_of_nodes = 0
+        for n in range(80):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            seqA, seqB = (random_diagram(rng, stages, max_rank=3, bound=3, mode=mode) for _ in "AB")
+            budget = SearchBudget(3, 3, stages, 100)
+            nodes.clear()
+            cert = search_confluence(seqA, seqB, budget)
+            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+            found += cert is not None
+            out_of_nodes += len(nodes) > budget.node_limit
+        assert found >= 5 and out_of_nodes >= 40
+
+    @pytest.mark.parametrize("copies, x, y", [
+        (1 + n % 3, x, y)
+        for n, (x, y) in enumerate([(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 2), (5, 2), (7, 2)])
+    ])
+    def test_exhaustion_matches_uncached_reference_search(self, copies, x, y, monkeypatch):
+        # rank-1 pairs with different primes: every system past the first
+        # stages is inconsistent, so the pruning skips nearly all of them
+        tick, nodes = confluence._Counter.tick, []
+
+        def counted(counter):
+            nodes.append(1)
+            tick(counter)
+
+        monkeypatch.setattr(confluence._Counter, "tick", counted)
+        seqA, seqB = rank1([x] * copies, period=(0, 1)), rank1([y] * (4 - copies), period=(0, 1))
+        budget = SearchBudget(3, 8, 12, 200000)
+        cert = search_confluence(seqA, seqB, budget)
+        assert cert is None
+        assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+
+    def test_consistent_targets_are_upward_closed(self, rng):
+        # h * K = transition(s, j) solvable implies
+        # (transition(j, j + 1) * h) * K = transition(s, j + 1)
+        rises = falls = 0
+        for n in range(150):
+            seq = random_diagram(rng, 5, max_rank=3, bound=3, mode=("plain", "simplicial")[n % 2])
+            s = rng.randint(1, 3)
+            if n % 3:
+                k = random_matrix(rng, rng.randint(0, 3), seq.rank_at(s), 3)
+            else:  # solvable from stage j0 on, by h = id
+                k = transition(seq, s, rng.randint(s + 1, 5))
+            consistent = [solve_matrix_eq(k, transition(seq, s, j)).consistent for j in range(s + 1, 6)]
+            assert consistent == sorted(consistent)
+            for j, ok in enumerate(consistent[:-1], start=s + 1):
+                if ok:
+                    z0s, _, _ = matrices._substitute(matrices._reduce(k), transition(seq, s, j).entries)
+                    h = Matrix(z0s, cols=k.rows)
+                    assert (transition(seq, j, j + 1) * h) * k == transition(seq, s, j + 1)
+            rises += consistent[0] < consistent[-1]
+            falls += not consistent[-1]
+        assert rises >= 20 and falls >= 30
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

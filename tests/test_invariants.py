@@ -17,6 +17,7 @@ from colim.invariants import (
     colimit_rank,
     noniso_evidence,
     steinitz,
+    steinitz_each,
 )
 from colim.matrices import Matrix
 
@@ -146,6 +147,27 @@ class TestNonIsoEvidence:
         monkeypatch.setattr(invariants, "factorint", None)  # any factorisation raises
         assert noniso_evidence(x2, x3, steinitz_pair=pair) == expected[0]
         assert noniso_evidence(x2, zero, steinitz_pair=(pair[0], None)) == expected[1]
+
+    def test_given_steinitz_pair_is_the_coprime_base(self, monkeypatch):
+        # the pair's primes cover every multiplier, so no gcd refines them
+        a, b = rank1([4, 6 * 65521], period=(0, 2)), rank1([9, 5, 65521 * 7], period=(1, 2))
+        expected = noniso_evidence(a, b)
+        pair = tuple(steinitz_each([a, b]))
+
+        def refuse(*args):
+            raise AssertionError("gcd refinement")
+
+        monkeypatch.setattr(invariants.math, "gcd", refuse)
+        assert noniso_evidence(a, b, steinitz_pair=pair) == expected
+
+    def test_steinitz_pair_of_other_diagrams_falls_back_to_gcds(self):
+        # the primes of x2 and x3 do not cover 5 and 7
+        x2, x3 = rank1([2, 2], period=(0, 1)), rank1([3, 3], period=(0, 1))
+        a, b = rank1([10], period=(0, 1)), rank1([21], period=(0, 1))
+        pair = (steinitz(x2), steinitz(x3))
+        assert noniso_evidence(a, b, steinitz_pair=pair) == noniso_evidence(a, b)
+        c, d = rank1([10, 3]), rank1([21])
+        assert noniso_evidence(c, d, 1, pair) == noniso_evidence(c, d, 1)
 
     def test_consistent_with_found_certificates(self):
         pairs = [

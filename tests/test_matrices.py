@@ -9,6 +9,8 @@ from colim.diagrams import SequenceDiagram, validate
 from colim.matrices import (
     Matrix,
     _echelon,
+    _reduce,
+    _substitute,
     det,
     is_injective,
     iter_matrices,
@@ -294,6 +296,47 @@ class TestSplitSolver:
                 assert all(x * k == Matrix([c]) for x in sols)
                 inconsistent += not sols.consistent
         assert 20 <= inconsistent <= 160
+
+    def test_residual_substitution_on_edge_shapes(self, rng):
+        # K without rows, without columns or of deficient rank, and T
+        # without rows, against the direct echelon and brute force
+        shapes = [(0, w) for w in range(4)] + [(n, 0) for n in range(1, 4)]
+        shapes += [(n, w) for n in range(1, 4) for w in range(1, 4)]
+        inconsistent = consistent = 0
+        for n, w in shapes * 6:
+            if n and w and rng.random() < 0.5:
+                k = random_matrix(rng, n, 1, 3) * random_matrix(rng, 1, w, 3)
+            else:
+                k = random_matrix(rng, n, w, 3)
+            a = [row + e for row, e in zip(k.to_lists(), Matrix.identity(n).to_lists())]
+            pivots, _ = _echelon(a)
+            r = sum(1 for c in pivots if c < w)
+            hermite = [row[:w] for row in a[:r]]
+            for t_rows in range(3):
+                if rng.random() < 0.5:
+                    t = random_matrix(rng, t_rows, n, 1) * k if n else Matrix.zero(t_rows, w)
+                else:
+                    t = random_matrix(rng, t_rows, w, 2)
+                # each row of t lies in the row lattice of k iff appending
+                # it keeps the Hermite form
+                fits = []
+                for c in t.to_lists():
+                    b = k.to_lists() + [c]
+                    _echelon(b)
+                    fits.append([row for row in b if any(row)] == hermite)
+                solved = _substitute(_reduce(k), t.entries)
+                assert (solved is not None) == all(fits)
+                if solved is None:
+                    inconsistent += 1
+                    continue
+                consistent += 1
+                z0s, basis, basis_pivots = solved
+                assert Matrix(z0s, cols=n) * k == t
+                assert basis == [tuple(row[w:]) for row in a[r:]]
+                assert basis_pivots == [c - w for c in pivots[r:]]
+                if t_rows * n <= 6:
+                    assert set(solve_matrix_eq(k, t, "any", 1)) == brute_solutions(k, t, 1, False)
+        assert inconsistent >= 30 and consistent >= 100
 
     def test_library_results_are_well_formed(self, rng):
         # results built without the constructor's checks pass them
