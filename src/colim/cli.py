@@ -99,6 +99,9 @@ def _cmd_verify(args) -> int:
     cert = _load_certificate(args.certificate)
     report = confluence.verify_certificate(seqA, seqB, cert)
     print(f"status: {'accepted' if report.accepted else 'rejected'}")
+    if report.accepted:
+        print("scope: all levels (periodic certificate accepted)" if report.periodic_accepted
+              else f"scope: levels 1..{cert.depth} only, not a proof for the infinite colimits")
     for f in report.failures:
         print(f"failure: {f}")
     for n in report.notes:

@@ -9,16 +9,19 @@ consecutive maps compose to a transition: ``g_n * f_n = a_{i_n, i_{n+1}}``
 and ``f_{n+1} * g_n = b_{k_n, k_{n+1}}``.  Verification, induced maps,
 round trips and the search each walk this chain once, position by
 position; the side of a position is its parity.  A verified certificate
-induces mutually inverse maps between the two colimit groups, so it is a
-proof of isomorphism.  The search is a depth-first back-and-forth
-construction; it is sound unconditionally but complete only relative to
-its budget, so a failed search is never evidence of non-isomorphism.
+whose periodic block is accepted holds at every level, so it induces
+mutually inverse maps between the two colimit groups and proves them
+isomorphic; without one it checks levels ``1..m`` only.  The search is a
+depth-first back-and-forth construction; it is sound unconditionally but
+complete only relative to its budget, so a failed search is never
+evidence of non-isomorphism.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -286,6 +289,17 @@ def _composites(seq: SequenceDiagram, last: int):
     return from_stage
 
 
+def _column_gcds_refute(k: Matrix, t: Matrix) -> bool:
+    """Whether some column of ``t`` is not a multiple of the gcd of the
+    same column of ``k``; then ``h * k = t`` has no integer solution, as
+    each ``t[r, c]`` is an integer combination of column ``c`` of ``k``."""
+    for kc, tc in zip(zip(*k.entries), zip(*t.entries)):
+        g = math.gcd(*kc)
+        if any(x % g for x in tc) if g else any(tc):
+            return True
+    return False
+
+
 class _OutOfNodes(Exception):
     pass
 
@@ -308,7 +322,9 @@ class _Search:
     ``K`` met so far, keyed by shape and entries (whose tuples hash and
     compare faster than a Matrix; a ``K`` without rows needs its width
     in the key).  A ``K``'s solver is its first :func:`solve_matrix_eq`,
-    and every other target of ``K`` reuses its elimination."""
+    and every other target of ``K`` reuses its elimination.  ``refuted``
+    holds the ``(side, start stage, K key)`` of the half-levels whose
+    horizon system the column gcds refuted before ``K`` had a solver."""
 
     def __init__(self, budget: SearchBudget, composites: tuple, constraint: str, nodes: _Counter):
         self.budget = budget
@@ -316,6 +332,7 @@ class _Search:
         self.constraint = constraint
         self.nodes = nodes
         self.solvers: dict = {}
+        self.refuted: set = set()
 
     def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
         """One half-level: the next map ``h`` solves
@@ -323,13 +340,20 @@ class _Search:
         ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place."""
         if len(maps) == 2 * self.budget.depth - 1:
             return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
-        targets = self.composites[len(stages) % 2](stages[-2])
+        side = len(stages) % 2
+        targets = self.composites[side](stages[-2])
         if not targets:
             return None
         k = maps[-1]
         key = (k.cols, k.entries)
         solver = self.solvers.get(key)
         if solver is None:
+            dead = (side, stages[-2], key)
+            if dead in self.refuted:
+                return None
+            if _column_gcds_refute(k, targets[-1][1]):
+                self.refuted.add(dead)
+                return None
             solver = self.solvers[key] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
         # the consistent targets are a suffix: walk back from the horizon
         # to the first inconsistent one
@@ -376,6 +400,15 @@ def search_confluence(
     half-level tests the horizon target first and walks back only to the
     first inconsistent target; the systems it skips have no solutions
     and would visit no nodes.
+
+    Screen: ``h * K = T`` reads ``T[:, c] = h * K[:, c]`` column by
+    column, so every entry of column ``c`` of ``T`` is a multiple of
+    ``gcd(K[:, c])`` (zero when that gcd is zero).  Before a new ``K`` is
+    eliminated, its horizon target is screened this way; a target that
+    fails ends the half-level with no elimination, and the search keeps
+    the refutation, keyed by side, start stage and ``K``, for the next
+    time that half-level comes back.  A target that passes goes to the
+    solver as above.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")

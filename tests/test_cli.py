@@ -97,11 +97,21 @@ class TestVerify:
     def test_accepts_fixture(self, capsys):
         code, out, _ = run(capsys, "verify", X2, X4, X2_X4)
         assert code == 0
-        assert "status: accepted" in out
+        assert out[:2] == ["status: accepted", "scope: all levels (periodic certificate accepted)"]
 
     def test_accepts_simplicial_self(self, capsys):
+        # a certificate without a period proves nothing past its last level
         code, out, _ = run(capsys, "verify", FIB, FIB, FIB_SELF)
         assert code == 0
+        assert out[:2] == ["status: accepted", "scope: levels 1..2 only, not a proof for the infinite colimits"]
+
+    def test_rejected_periodic_claim_checks_its_levels_only(self, capsys, tmp_path):
+        cert = tmp_path / "x2_x4.cert"
+        cert.write_text(Path(X2_X4).read_text().replace('"index_step_b": 1', '"index_step_b": 2'))
+        code, out, _ = run(capsys, "verify", X2, X4, str(cert))
+        assert code == 0
+        assert out[:2] == ["status: accepted", "scope: levels 1..3 only, not a proof for the infinite colimits"]
+        assert out[2].startswith("note: periodic claim rejected")
 
     def test_rejects_wrong_pair(self, capsys):
         code, out, _ = run(capsys, "verify", X2, X3, X2_X4)

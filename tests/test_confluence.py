@@ -245,8 +245,11 @@ class TestSearch:
                 assert verify_certificate(seqA, seqB, cert).accepted
 
     def test_x2_x3_reduces_each_distinct_k_once(self, monkeypatch):
-        # every map is a 1x1 matrix with an entry in [-8, 8]: 17 distinct K,
-        # each solved by one solve_matrix_eq and eliminated by one _reduce
+        # every map is a 1x1 matrix with an entry in [-8, 8]; the half-level
+        # after an f faces X2's powers of 2, the one after a g X3's powers
+        # of 3, so the column gcds refute every K but +-1, +-2, +-4 and +-8
+        # before any elimination, and each of those 8 is solved by one
+        # solve_matrix_eq and eliminated by one _reduce
         reduce_k, solve, reduced, solved = matrices._reduce, confluence.solve_matrix_eq, [], []
 
         def counted_reduce(k):
@@ -260,7 +263,8 @@ class TestSearch:
         monkeypatch.setattr(matrices, "_reduce", counted_reduce)
         monkeypatch.setattr(confluence, "solve_matrix_eq", counted_solve)
         assert search_confluence(X2, X3, SearchBudget(3, 8, 12, 200000)) is None
-        assert len(reduced) == 17 == len(set(reduced))
+        assert len(reduced) == 8 == len(set(reduced))
+        assert sorted(k[0, 0] for k in reduced) == [-8, -4, -2, -1, 1, 2, 4, 8]
         assert solved == reduced
 
     def test_matches_uncached_reference_search(self, rng, monkeypatch):
@@ -356,6 +360,67 @@ class TestSearch:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             search_confluence(X2, FIB, SearchBudget(2, 2, 4, 100))
+
+
+class TestColumnGcdScreen:
+    """``h * K = T`` makes each ``T[r, c]`` an integer combination of
+    column ``c`` of ``K``, so a column of ``T`` off the multiples of its
+    ``K`` column's gcd refutes the system without elimination."""
+
+    @staticmethod
+    def random_k(rng, rows, cols):
+        k = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        for c in range(cols):
+            if rng.random() < 0.2:  # an all-zero column
+                for row in k:
+                    row[c] = 0
+            elif rng.random() < 0.2:  # a big multiplier
+                for row in k:
+                    row[c] *= rng.choice([2**40 + 1, 3 * 2**40, 6])
+        return Matrix(k, cols=cols)
+
+    def test_refuted_systems_are_inconsistent(self, rng):
+        refuted = 0
+        for _ in range(600):
+            k = self.random_k(rng, rng.randint(0, 3), rng.randint(0, 3))
+            t = random_matrix(rng, rng.randint(0, 3), k.cols, 3)
+            if rng.random() < 0.3:  # columns scaled onto or off a big gcd
+                t = Matrix([[x * (2**40 + 1) + rng.randint(0, 1) for x in row] for row in t.entries], cols=k.cols)
+            if confluence._column_gcds_refute(k, t):
+                refuted += 1
+                assert not solve_matrix_eq(k, t).consistent
+        assert refuted >= 150
+
+    def test_solvable_systems_pass(self, rng):
+        for _ in range(600):
+            k = self.random_k(rng, rng.randint(0, 3), rng.randint(0, 3))
+            h = random_matrix(rng, rng.randint(0, 3), k.rows, rng.choice([3, 2**40 + 1]))
+            assert not confluence._column_gcds_refute(k, h * k)
+
+    def test_exact_on_1x1_systems(self):
+        values = [*range(-8, 9), 2**40 + 1, -(2**40 + 1), 3 * (2**40 + 1), 2**41]
+        for a in values:
+            for b in values:
+                k, t = Matrix([[a]]), Matrix([[b]])
+                assert confluence._column_gcds_refute(k, t) == (not solve_matrix_eq(k, t).consistent)
+
+    def test_refutes_half_the_inconsistent_horizon_systems(self, rng, monkeypatch):
+        # the benchmark's library searches: ranks 1-3, entries within 3,
+        # depth 3, bound 3, 100 nodes
+        screen, seen = confluence._column_gcds_refute, []
+
+        def recorded(k, t):
+            seen.append((k, t, screen(k, t)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(confluence, "_column_gcds_refute", recorded)
+        for n in range(40):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            seqA, seqB = (random_diagram(rng, stages, max_rank=3, bound=3, mode=mode) for _ in "AB")
+            search_confluence(seqA, seqB, SearchBudget(3, 3, stages, 100))
+        inconsistent = [refuted for k, t, refuted in seen if not solve_matrix_eq(k, t).consistent]
+        assert len(inconsistent) >= 500
+        assert 2 * sum(inconsistent) >= len(inconsistent)
 
 
 def scalars(*values):
