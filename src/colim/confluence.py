@@ -88,26 +88,30 @@ def _name(p: int) -> str:
 
 def _structural_check(
     seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate, report: VerifyReport
-) -> bool:
+) -> Optional[tuple]:
+    """The chain's maps if the certificate is well formed, else None.
+    A map without rows is read at the rank of its source stage, since
+    the text formats write every ``0 x n`` matrix as ``[]``."""
     m = cert.depth
     if m < 2:
         report.fail(f"certificate depth {m} < 2")
-        return False
+        return None
     if len(cert.k_indices) != m or len(cert.f_mats) != m:
         report.fail("index and map counts disagree with the certificate depth")
-        return False
+        return None
     if len(cert.g_mats) not in (m - 1, m):
         report.fail(f"expected {m - 1} (or {m}) backward maps, got {len(cert.g_mats)}")
-        return False
+        return None
     for name, idx in (("i", cert.i_indices), ("k", cert.k_indices)):
         if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
             report.fail(f"{name}-indices must be strictly increasing and positive")
-            return False
+            return None
     seqs, (stages, maps) = (seqA, seqB), cert._chain
     if not all(seqs[q].has_stage(s) for q, s in enumerate(stages[-2:])):
         report.fail("certificate stages exceed the diagram truncations")
-        return False
+        return None
     ranks = [seqs[p % 2].rank_at(s) for p, s in enumerate(stages)]
+    maps = tuple(h if h.rows else Matrix.zero(0, ranks[p]) for p, h in enumerate(maps))
     ok = True
     # report order: all f_n, then all g_n
     for p in [*range(0, len(maps), 2), *range(1, len(maps), 2)]:
@@ -120,7 +124,7 @@ def _structural_check(
         elif seqA.simplicial and not h.is_nonnegative():
             report.fail(f"{_name(p)} has a negative entry in simplicial mode")
             ok = False
-    return ok
+    return maps if ok else None
 
 
 def _periodic_fault(
@@ -170,9 +174,10 @@ def verify_certificate(
     if seqA.mode != seqB.mode:
         report.fail("diagrams have different modes")
         return report
-    if not _structural_check(seqA, seqB, cert, report):
+    maps = _structural_check(seqA, seqB, cert, report)
+    if maps is None:
         return report
-    seqs, (stages, maps) = (seqA, seqB), cert._chain
+    seqs, stages = (seqA, seqB), cert._chain[0]
     for p in range(len(stages) - 2):
         if maps[p + 1] * maps[p] != transition(seqs[p % 2], stages[p], stages[p + 2]):
             report.fail(
@@ -213,8 +218,9 @@ def induced_map(
         last = f"last certificate index {stages[-2]}"
         reach = "the backward range of the certificate" if side else last
         raise ValueError(f"element stage {e.stage} beyond {reach}")
-    vec = maps[p].apply(transition((seqA, seqB)[side], e.stage, stages[p]).apply(e.vec))
-    return ColimitElement(stages[p + 1], vec)
+    vec = transition((seqA, seqB)[side], e.stage, stages[p]).apply(e.vec)
+    # a map without rows, read at its source stage's rank, sends vec to ()
+    return ColimitElement(stages[p + 1], maps[p].apply(vec) if maps[p].rows else ())
 
 
 @dataclass
@@ -318,13 +324,12 @@ class _Counter:
 
 class _Search:
     """The state of one :func:`search_confluence` call: its budget, the
-    composites of each side, the node counter, and the solver of each
-    ``K`` met so far, keyed by shape and entries (whose tuples hash and
-    compare faster than a Matrix; a ``K`` without rows needs its width
-    in the key).  A ``K``'s solver is its first :func:`solve_matrix_eq`,
-    and every other target of ``K`` reuses its elimination.  ``refuted``
-    holds the ``(side, start stage, K key)`` of the half-levels whose
-    horizon system the column gcds refuted before ``K`` had a solver."""
+    composites of each side, the node counter, ``solvers``, the solver of
+    each ``K`` (its first :func:`solve_matrix_eq`, whose elimination
+    serves every target of ``K``), and ``halves``, which maps each
+    half-level met so far, ``(side, start stage, K cols, K entries)``, to
+    its live targets, ``()`` when dead.  Entry tuples hash faster than a
+    Matrix; a ``K`` without rows needs its width in the key."""
 
     def __init__(self, budget: SearchBudget, composites: tuple, constraint: str, nodes: _Counter):
         self.budget = budget
@@ -332,7 +337,25 @@ class _Search:
         self.constraint = constraint
         self.nodes = nodes
         self.solvers: dict = {}
-        self.refuted: set = set()
+        self.halves: dict = {}
+
+    def _live(self, side: int, start: int, k: Matrix) -> tuple:
+        """The live targets of a new half-level: none when it has no
+        target or the column gcds refute its horizon target; else the
+        walk back from the horizon to the first inconsistent target."""
+        targets = self.composites[side](start)
+        if not targets or _column_gcds_refute(k, targets[-1][1]):
+            return ()
+        solver = self.solvers.get((k.cols, k.entries))
+        if solver is None:
+            solver = self.solvers[k.cols, k.entries] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
+        live = []
+        for nxt, target in reversed(targets):
+            streams = solver.streams(target)
+            if streams is None:
+                break
+            live.append((nxt, streams))
+        return tuple(reversed(live))
 
     def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
         """One half-level: the next map ``h`` solves
@@ -340,30 +363,12 @@ class _Search:
         ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place."""
         if len(maps) == 2 * self.budget.depth - 1:
             return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
-        side = len(stages) % 2
-        targets = self.composites[side](stages[-2])
-        if not targets:
-            return None
-        k = maps[-1]
-        key = (k.cols, k.entries)
-        solver = self.solvers.get(key)
-        if solver is None:
-            dead = (side, stages[-2], key)
-            if dead in self.refuted:
-                return None
-            if _column_gcds_refute(k, targets[-1][1]):
-                self.refuted.add(dead)
-                return None
-            solver = self.solvers[key] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
-        # the consistent targets are a suffix: walk back from the horizon
-        # to the first inconsistent one
-        live = []
-        for nxt, target in reversed(targets):
-            streams = solver._streams(target.entries)
-            if streams is None:
-                break
-            live.append((nxt, streams))
-        for nxt, streams in reversed(live):
+        side, k = len(stages) % 2, maps[-1]
+        key = (side, stages[-2], k.cols, k.entries)
+        live = self.halves.get(key)
+        if live is None:
+            live = self.halves[key] = self._live(side, stages[-2], k)
+        for nxt, streams in live:
             stages.append(nxt)
             for rows in itertools.product(*streams):
                 self.nodes.tick()
@@ -387,12 +392,14 @@ def search_confluence(
 
     Each half-level solves ``h * K = T_j`` for the next map, with
     ``T_j = transition(s, j)`` from the side's stage ``s`` to each later
-    stage ``j`` up to the horizon, and the same few systems recur all over
-    the tree.  So within one search each distinct ``K`` is eliminated
+    stage ``j`` up to the horizon, and the same few half-levels recur all
+    over the tree.  So within one search each half-level, keyed by side,
+    ``s`` and ``K``, is resolved once into its live targets and kept in
+    one table; a revisit is one lookup.  Each distinct ``K`` is eliminated
     once, by one :func:`~colim.matrices.solve_matrix_eq` aimed at the
-    horizon target, and each distinct ``(K, T)`` substituted and its row
-    streams built once; the solutions come in the order
-    :func:`~colim.matrices.solve_matrix_eq` gives.
+    horizon target of the first half-level that needs it, and every other
+    target of ``K`` reuses that elimination; the solutions come in the
+    order :func:`~colim.matrices.solve_matrix_eq` gives.
 
     Pruning: the targets with an integer solution form a suffix of
     ``j``, since if ``h * K = T_j`` then
@@ -403,12 +410,9 @@ def search_confluence(
 
     Screen: ``h * K = T`` reads ``T[:, c] = h * K[:, c]`` column by
     column, so every entry of column ``c`` of ``T`` is a multiple of
-    ``gcd(K[:, c])`` (zero when that gcd is zero).  Before a new ``K`` is
-    eliminated, its horizon target is screened this way; a target that
-    fails ends the half-level with no elimination, and the search keeps
-    the refutation, keyed by side, start stage and ``K``, for the next
-    time that half-level comes back.  A target that passes goes to the
-    solver as above.
+    ``gcd(K[:, c])`` (zero when that gcd is zero).  A new half-level
+    screens its horizon target this way first; a target that fails makes
+    the half-level dead with no elimination.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")

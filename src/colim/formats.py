@@ -25,9 +25,12 @@ class _FloatLiteral(str):
 
 
 def _loads(text: str) -> object:
+    """The JSON value of ``text``.  Syntax errors, nesting too deep for
+    the decoder and integers past the interpreter's digit limit for
+    ``int`` conversion are all format errors."""
     try:
         return json.loads(text, parse_float=_FloatLiteral)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"not a well-formed document: {exc}") from None
 
 
@@ -61,11 +64,12 @@ def _ints(value: object, path: str) -> list:
     return items
 
 
-def _matrix(value: object, path: str) -> Matrix:
+def _matrix(value: object, path: str, empty_width: int = 0) -> Matrix:
     """Check the rows in bulk; only a faulty document walks them again,
-    entry by entry, to name the first fault's field path."""
+    entry by entry, to name the first fault's field path.  A matrix
+    without rows is written ``[]`` and takes the width ``empty_width``."""
     rows = _expect_list(value, path)
-    width = len(rows[0]) if rows and type(rows[0]) is list else 0
+    width = len(rows[0]) if rows and type(rows[0]) is list else empty_width
     if not all(type(row) is list and len(row) == width and all(type(x) is int for x in row) for row in rows):
         for r, row in enumerate(rows):
             _expect_list(row, f"{path}[{r}]")
@@ -87,8 +91,9 @@ def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
     ranks = _ints(doc.get("ranks"), "ranks")
     if not ranks:
         raise FormatError("ranks must be nonempty")
+    # transition n leaves stage n + 1, so a row-less one is ranks[n] wide
     transitions = [
-        _matrix(m, f"transitions[{n}]")
+        _matrix(m, f"transitions[{n}]", ranks[n] if n < len(ranks) else 0)
         for n, m in enumerate(_expect_list(doc.get("transitions", []), "transitions"))
     ]
     period = None

@@ -45,6 +45,9 @@ PREFIX_DISCLAIMER = (
     "invariants are conclusive"
 )
 
+# the least prime exponent gap over equal-length prefixes that is reported
+INDICATIVE_GAP = 2
+
 
 @dataclass(frozen=True)
 class SupernaturalNumber:
@@ -241,15 +244,16 @@ class EvidenceReport:
 def noniso_evidence(
     seqA: SequenceDiagram,
     seqB: SequenceDiagram,
-    indicative_threshold: int = 2,
     steinitz_pair: tuple | None = None,
 ) -> EvidenceReport:
     """Distinguishing facts between two diagrams.
 
     CONCLUSIVE entries hold for the declared infinite sequences
     (stabilized rank mismatch, inequivalent supernatural numbers);
-    INDICATIVE entries only record prefix divergence and carry an
-    explicit disclaimer.
+    INDICATIVE entries only record prefix divergence, a prime exponent
+    gap of at least ``INDICATIVE_GAP``, and carry an explicit disclaimer.
+    Simplicial diagrams are compared as groups: a note says that their
+    order invariants are not examined.
 
     The rank-1 verdict compares the base elements of the two period
     products and factors nothing; only the primes an entry prints are
@@ -263,7 +267,7 @@ def noniso_evidence(
         bad = validate(seq)
         if not bad.ok:
             raise ValueError(f"diagram {name} is invalid: {bad.violations[0]}")
-    if seqA.simplicial and any(r == 1 for r in (seqA.ranks[-1], seqB.ranks[-1])):
+    if seqA.simplicial or seqB.simplicial:
         report.notes.append(
             "simplicial diagrams are compared as groups only; order "
             "invariants are not examined"
@@ -307,11 +311,10 @@ def noniso_evidence(
         count = min(len(msA), len(msB))
         expsA, expsB = base.exponents(msA[:count]), base.exponents(msB[:count])
         gaps = {q: abs(expsA.get(q, 0) - expsB.get(q, 0)) for q in expsA.keys() | expsB.keys()}
-        # a prime's gap is its base element's gap times its exponent there;
-        # a zero gap is printed only under a threshold of 0 or less
-        gaps = base.primes({q: g for q, g in gaps.items() if g or indicative_threshold <= 0})
+        # a prime's gap is its base element's gap times its exponent there
+        gaps = base.primes({q: g for q, g in gaps.items() if g})
         for p in sorted(gaps):
-            if gaps[p] >= indicative_threshold:
+            if gaps[p] >= INDICATIVE_GAP:
                 report.entries.append(
                     Evidence(
                         INDICATIVE,

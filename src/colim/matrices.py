@@ -383,7 +383,7 @@ def _walk(basis, pivots, lo, hi, j, z) -> Iterator[tuple]:
 
 
 class MatrixEqSolutions:
-    """Lazy, deterministic enumeration of every integer matrix ``X`` with
+    """Deterministic enumeration of every integer matrix ``X`` with
     ``X * k = t`` and entries in ``[-entry_bound, entry_bound]`` (or
     ``[0, entry_bound]`` under the nonnegative constraint).
 
@@ -392,12 +392,12 @@ class MatrixEqSolutions:
     lexicographic order of ``(p_0, p_1, ...)``, which is the
     lexicographic order of their entries at the basis pivot columns.
     Matrices come in lexicographic order of their rows' positions in
-    those streams, first row outermost.  When iteration first starts,
-    each row's stream is materialised in full and kept.
+    those streams, first row outermost.  Each row's stream is
+    materialised in full when iteration starts.
 
-    ``k`` is eliminated once, by :func:`_reduce`; :meth:`_streams` gives
-    the row streams of another ``t`` of the same width from that
-    elimination, substituting each target once and keeping its streams.
+    ``k`` is eliminated once, by :func:`_reduce`, and ``t`` substituted
+    once; :meth:`streams` gives the row streams of any target as wide as
+    ``k`` from that one elimination, and keeps nothing.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -418,27 +418,23 @@ class MatrixEqSolutions:
         self.entry_bound = entry_bound
         self.nonnegative = constraint == "nonnegative"
         self._reduced = _reduce(k)
-        solved = _substitute(self._reduced, t.entries)
-        self._targets = {t.entries: [solved, None]}  # entries -> [_substitute(...), row streams]
-        self.consistent = solved is not None
+        self._solved = _substitute(self._reduced, t.entries)
+        self.consistent = self._solved is not None
 
-    def _streams(self, entries: tuple):
-        """The row streams of ``X * k = t`` for the entries of a ``t`` as
-        wide as ``k``, or ``None`` when that system is inconsistent; each
-        target is substituted once and its streams are built once."""
-        target = self._targets.get(entries)
-        if target is None:
-            target = self._targets[entries] = [_substitute(self._reduced, entries), None]
-        solved, streams = target
-        if streams is None and solved is not None:
-            z0s, basis, pivots = solved
-            streams = target[1] = [
-                tuple(_row_stream(z0, basis, pivots, self.entry_bound, self.nonnegative)) for z0 in z0s
-            ]
-        return streams
+    def streams(self, t: Matrix):
+        """The row streams of ``X * k = t`` for a ``t`` as wide as ``k``:
+        for each row of ``t``, the tuple of its solutions within the
+        bound, or ``None`` when the system is inconsistent."""
+        if t.cols != self.k.cols:
+            raise ValueError(f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}")
+        solved = self._solved if t.entries == self.t.entries else _substitute(self._reduced, t.entries)
+        if solved is None:
+            return None
+        z0s, basis, pivots = solved
+        return [tuple(_row_stream(z0, basis, pivots, self.entry_bound, self.nonnegative)) for z0 in z0s]
 
     def __iter__(self) -> Iterator[Matrix]:
-        streams = self._streams(self.t.entries)
+        streams = self.streams(self.t)
         if streams is None:
             return
         for rows in itertools.product(*streams):
@@ -452,5 +448,5 @@ def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: 
     The order is deterministic: each row's solutions come in
     lexicographic order of their coordinates along the Hermite basis of
     the left kernel of ``k``, not in the order of the entries.  Each
-    row's stream is materialised when iteration first starts."""
+    row's stream is materialised when iteration starts."""
     return MatrixEqSolutions(k, t, constraint, entry_bound)

@@ -7,7 +7,9 @@ import pytest
 
 from colim import confluence, diagrams, invariants
 from colim.cli import main
+from colim.diagrams import SequenceDiagram
 from colim.formats import emit_diagram
+from colim.matrices import Matrix
 
 from conftest import FIXTURES, rank1
 
@@ -119,6 +121,34 @@ class TestVerify:
         assert "status: rejected" in out
 
 
+class TestRankZero:
+    def test_emitted_certificate_verifies_and_maps(self, capsys, tmp_path):
+        # every map into B's rank-0 stages is 0x1 and written as []
+        a, b, cert = (str(tmp_path / name) for name in ("a.diag", "b.diag", "c.cert"))
+        Path(a).write_text(emit_diagram(SequenceDiagram("plain", [1, 1, 1], [Matrix([[0]])] * 2)))
+        Path(b).write_text(emit_diagram(SequenceDiagram("plain", [0, 0, 0], [Matrix.zero(0, 0)] * 2)))
+        code, out, _ = run(capsys, "search", a, b, "--depth", "2", "--bound", "1", "--horizon", "3",
+                           "--emit", cert)
+        assert (code, out[0]) == (0, "status: found")
+        code, out, _ = run(capsys, "verify", a, b, cert)
+        assert (code, out[0]) == (0, "status: accepted")
+        assert run(capsys, "map", a, b, cert, "--element", "1:5") == (0, ["image: 1:"], "")
+        assert run(capsys, "map", a, b, cert, "--element", "1:", "--backward") == (0, ["image: 2:0"], "")
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("ranks", [
+        "[" * 200_000 + "]" * 200_000,
+        "[" + "7" * 5000 + "]",
+    ], ids=["deep", "long"])
+    def test_is_a_user_error(self, capsys, tmp_path, ranks):
+        path = tmp_path / "bad.diag"
+        path.write_text('{"mode": "plain", "ranks": %s, "transitions": []}' % ranks)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, [])
+        assert err.startswith(f"error: {path}: not a well-formed document") and err.count("\n") == 1
+
+
 class TestSearch:
     def test_finds_and_emits(self, capsys, tmp_path):
         out_file = tmp_path / "found.cert"
@@ -221,6 +251,12 @@ class TestInvariants:
         code, out, _ = run(capsys, "invariants", X2, X4)
         assert code == 0
         assert "evidence: none" in out
+
+    def test_simplicial_pair_notes_order_invariants(self, capsys):
+        code, out, _ = run(capsys, "invariants", FIB, FIB)
+        assert code == 0
+        assert out[-1] == ("note: simplicial diagrams are compared as groups only; "
+                           "order invariants are not examined")
 
     def test_pair_factors_each_base_element_once(self, capsys, monkeypatch):
         # x2 and x4 share the coprime base {2}

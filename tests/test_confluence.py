@@ -267,6 +267,36 @@ class TestSearch:
         assert sorted(k[0, 0] for k in reduced) == [-8, -4, -2, -1, 1, 2, 4, 8]
         assert solved == reduced
 
+    def test_x2_x3_resolves_each_half_level_once(self, monkeypatch):
+        # the exhaustion meets the same (side, start stage, K) over and over;
+        # only the first visit screens the horizon target and walks the
+        # targets, every later one is a lookup in the search's table
+        live, screen, extend = confluence._Search._live, confluence._column_gcds_refute, confluence._Search.extend
+        resolved, screened, visits = [], [], []
+
+        def recorded_live(search, side, start, k):
+            resolved.append((side, start, k))
+            return live(search, side, start, k)
+
+        def recorded_screen(k, t):
+            screened.append((k, t))
+            return screen(k, t)
+
+        def counted_extend(search, stages, maps):
+            visits.append(len(maps))
+            return extend(search, stages, maps)
+
+        monkeypatch.setattr(confluence._Search, "_live", recorded_live)
+        monkeypatch.setattr(confluence, "_column_gcds_refute", recorded_screen)
+        monkeypatch.setattr(confluence._Search, "extend", counted_extend)
+        assert search_confluence(X2, X3, SearchBudget(3, 8, 12, 200000)) is None
+        assert len(resolved) == len(set(resolved))
+        # X2's targets are powers of 2 and X3's powers of 3, so a horizon
+        # target names its side and start stage
+        assert len(screened) == len(set(screened)) <= len(resolved)
+        half_levels = [n for n in visits if n < 5]  # a fifth map completes depth 3
+        assert len(half_levels) > 10 * len(resolved)
+
     def test_matches_uncached_reference_search(self, rng, monkeypatch):
         tick, nodes = confluence._Counter.tick, []
 

@@ -10,6 +10,7 @@ from colim.diagrams import SequenceDiagram
 from colim.invariants import (
     CONCLUSIVE,
     INDICATIVE,
+    INDICATIVE_GAP,
     PREFIX_DISCLAIMER,
     Evidence,
     EvidenceReport,
@@ -139,6 +140,21 @@ class TestNonIsoEvidence:
         assert any(e.strength == INDICATIVE for e in report.entries)
         assert all("cannot refute" in e.message for e in report.entries if e.strength == INDICATIVE)
 
+    @pytest.mark.parametrize("step", [
+        Matrix([[2, 0], [0, 2]]),
+        Matrix([[2, 1], [0, 2]]),
+    ])
+    def test_simplicial_pairs_note_order_invariants(self, step):
+        # diag(2, 2) and [[2, 1], [0, 2]] share their group invariants; the
+        # report must not read as if their order was compared too
+        a = SequenceDiagram("simplicial", [2, 2], [Matrix([[2, 0], [0, 2]])], True, (0, 1))
+        b = SequenceDiagram("simplicial", [2, 2], [step], True, (0, 1))
+        x2 = rank1([2, 2], mode="simplicial", period=(0, 1))
+        note = "simplicial diagrams are compared as groups only; order invariants are not examined"
+        for pair in [(a, b), (b, a), (x2, x2)]:
+            assert noniso_evidence(*pair).notes == [note]
+        assert noniso_evidence(rank1([2, 2], period=(0, 1)), rank1([4, 4], period=(0, 1))).notes == []
+
     def test_given_steinitz_pair_is_used_as_is(self, monkeypatch):
         x2, x3 = rank1([2, 2], period=(0, 1)), rank1([3, 3], period=(0, 1))
         zero = rank1([0, 2], mono=False)
@@ -166,8 +182,9 @@ class TestNonIsoEvidence:
         a, b = rank1([10], period=(0, 1)), rank1([21], period=(0, 1))
         pair = (steinitz(x2), steinitz(x3))
         assert noniso_evidence(a, b, steinitz_pair=pair) == noniso_evidence(a, b)
-        c, d = rank1([10, 3]), rank1([21])
-        assert noniso_evidence(c, d, 1, pair) == noniso_evidence(c, d, 1)
+        c, d = rank1([100, 3]), rank1([441])
+        assert noniso_evidence(c, d, steinitz_pair=pair) == noniso_evidence(c, d)
+        assert len(noniso_evidence(c, d).entries) == 4  # 2, 3, 5 and 7 differ by 2
 
     def test_consistent_with_found_certificates(self):
         pairs = [
@@ -291,6 +308,5 @@ class TestCoprimeBaseOracle:
                         steinitz(seq)
                     continue
                 assert steinitz(seq) == want
-            threshold = rng.randint(0, 3)
-            assert noniso_evidence(a, b, threshold) == reference_evidence(a, b, threshold)
+            assert noniso_evidence(a, b) == reference_evidence(a, b, INDICATIVE_GAP)
         assert len(kinds) == 4

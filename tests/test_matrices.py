@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colim import matrices
 from colim.diagrams import SequenceDiagram, validate
 from colim.matrices import (
     Matrix,
@@ -422,6 +423,27 @@ class TestSolveMatrixEq:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_matrix_eq(Matrix([[1, 2]]), Matrix([[1]]), "any", 1)
+        with pytest.raises(ValueError):
+            solve_matrix_eq(Matrix([[1, 2]]), Matrix([[1, 2]]), "any", 1).streams(Matrix([[1]]))
+
+    def test_streams_of_another_target_match_its_own_solver(self, rng, monkeypatch):
+        # one elimination of k serves every target as wide as k
+        inconsistent = 0
+        for k, t, bound in rank_deficient_systems(rng, 30):
+            for constraint in ("any", "nonnegative"):
+                sols = solve_matrix_eq(k, t, constraint, bound)
+                others = [random_matrix(rng, rng.randint(0, 2), k.cols, 3) for _ in range(3)]
+                others.append(random_matrix(rng, 2, k.rows, 2) * k)
+                expected = [solve_matrix_eq(k, u, constraint, bound) for u in others]
+                monkeypatch.setattr(matrices, "_reduce", None)  # no second elimination
+                for u, want in zip(others, expected):
+                    streams = sols.streams(u)
+                    assert (streams is not None) == want.consistent
+                    got = [] if streams is None else [Matrix(rows, cols=k.rows) for rows in itertools.product(*streams)]
+                    assert got == list(want)
+                    inconsistent += streams is None
+                monkeypatch.undo()
+        assert inconsistent >= 20
 
 
 def test_iter_matrices_small_magnitude_first():
