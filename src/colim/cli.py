@@ -180,35 +180,37 @@ def _cmd_divisible(args) -> int:
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
-def _print_single_invariants(label: str, seq, s):
-    """Print the rank and Steinitz lines of ``seq``, whose ``steinitz_each``
-    entry is ``s``; return its Steinitz invariant, or None if it has none."""
+def _print_single_invariants(label: str, seq, s) -> None:
+    """Print the rank and Steinitz lines of ``seq``; ``s`` is its Steinitz
+    invariant or the ``ValueError`` that says why it has none, for a pair as
+    ``EvidenceReport.steinitz`` gives it over the pair's one coprime base."""
     prefix = f"{label}." if label else ""
-    if seq.mono_required:
+    try:
         r, stab = invariants.colimit_rank(seq)
+    except ValueError as exc:
+        print(f"{prefix}rank: unavailable ({exc})")
+    else:
         print(f"{prefix}rank: {r}")
         print(f"{prefix}rank_stabilized: {'true' if stab else 'false'}")
-    else:
-        print(f"{prefix}rank: unavailable (non-injective truncation)")
-    if not all(r == 1 for r in seq.ranks):
-        return None
     if isinstance(s, ValueError):
-        print(f"{prefix}steinitz: unavailable ({s})")
-        return None
-    print(f"{prefix}steinitz: {s}")
-    return s
+        s = f"unavailable ({s})"
+    if all(n == 1 for n in seq.ranks):
+        print(f"{prefix}steinitz: {s}")
 
 
 def _cmd_invariants(args) -> int:
-    seqs = [_load_diagram(args.diagram_a)]
-    if args.diagram_b is not None:
-        seqs.append(_load_diagram(args.diagram_b))
-    found = invariants.steinitz_each(seqs)
-    if len(seqs) == 1:
-        _print_single_invariants("", seqs[0], found[0])
+    seq = _load_diagram(args.diagram_a)
+    if args.diagram_b is None:
+        try:
+            s = invariants.steinitz(seq)
+        except ValueError as exc:
+            s = exc
+        _print_single_invariants("", seq, s)
         return EXIT_OK
-    pair = tuple(_print_single_invariants(label, seq, s) for label, seq, s in zip("AB", seqs, found))
-    report = invariants.noniso_evidence(*seqs, steinitz_pair=pair)
+    seqs = (seq, _load_diagram(args.diagram_b))
+    report = invariants.noniso_evidence(*seqs)
+    for label, seq, s in zip("AB", seqs, report.steinitz()):
+        _print_single_invariants(label, seq, s)
     if report.empty:
         print("evidence: none")
     for entry in report.entries:

@@ -112,20 +112,16 @@ class _CoprimeBase:
     """A coprime base of some multipliers: pairwise coprime integers > 1 of
     which every multiplier is a product of powers, found with gcds alone.
     Elements are factored into primes only when a caller asks for primes,
-    each at most once.
+    and the base keeps their factors, so each is factored at most once.
 
     A base element ``b`` and a pending ``x`` with ``g = gcd(x, b) > 1`` give
     way to those of ``g``, ``b // g`` and ``x // g`` above 1.  Each such
     split divides the product of the base and the pending integers by
     ``g >= 2``, so there are at most ``log2`` of the inputs' product splits.
-
-    ``primes`` are distinct integers known to be prime.  They start the
-    base without a gcd, so when they include every prime of the
-    multipliers, each base element is one of them and nothing is factored.
     """
 
-    def __init__(self, ms, primes=()):
-        self.elements: list = list(primes)
+    def __init__(self, ms):
+        self.elements: list = []
         pending = [n for n in ms if n > 1]
         while pending:
             x = pending.pop()
@@ -137,7 +133,7 @@ class _CoprimeBase:
                     break
             else:
                 self.elements.append(x)
-        self._factors = {p: {p: 1} for p in primes}
+        self._factors: dict = {}
 
     def exponents(self, ms) -> dict:
         """Base element -> its exponent in the product of ``ms``."""
@@ -186,33 +182,15 @@ def steinitz(seq: SequenceDiagram) -> SupernaturalNumber:
     return _CoprimeBase(ms).steinitz(seq, ms)
 
 
-def steinitz_each(seqs: list) -> list:
-    """``steinitz`` of every sequence in ``seqs``, over one coprime base of
-    all their multipliers, so that each base element is factored at most
-    once.  Where ``steinitz`` would raise ``ValueError``, the error stands
-    in the list in place of the invariant."""
-    found: list = []
-    for seq in seqs:
-        try:
-            found.append(_multipliers(seq))
-        except ValueError as exc:
-            found.append(exc)
-    base = _CoprimeBase([m for ms in found if isinstance(ms, list) for m in ms])
-    return [ms if isinstance(ms, ValueError) else base.steinitz(seq, ms) for seq, ms in zip(seqs, found)]
-
-
 def colimit_rank(seq: SequenceDiagram) -> tuple:
-    """``(rank, stabilized)`` for a mono-mode truncation.
+    """``(rank, stabilized)`` for a truncation declared mono.
 
     Under injective transitions ranks are nondecreasing, so the last
     stored rank bounds the colimit rank from below; it is exact when a
     period with constant rank is declared.
     """
     if not seq.mono_required:
-        raise ValueError(
-            "colimit rank is not determined by a truncation with "
-            "non-injective transitions"
-        )
+        raise ValueError("diagram not declared mono")
     last = seq.ranks[-1]
     stabilized = False
     if seq.period is not None:
@@ -231,6 +209,10 @@ class Evidence:
 class EvidenceReport:
     entries: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # the coprime base of both diagrams' multipliers, and each diagram with
+    # its multipliers or the ValueError that ``steinitz`` raises on it
+    _base: _CoprimeBase | None = field(default=None, compare=False, repr=False)
+    _sides: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def conclusive(self) -> bool:
@@ -240,12 +222,14 @@ class EvidenceReport:
     def empty(self) -> bool:
         return not self.entries
 
+    def steinitz(self) -> list:
+        """``steinitz`` of each diagram over the report's coprime base, so no
+        base element that the entries factored is factored again; where
+        ``steinitz`` raises ``ValueError``, the error stands in its place."""
+        return [ms if isinstance(ms, ValueError) else self._base.steinitz(seq, ms) for seq, ms in self._sides]
 
-def noniso_evidence(
-    seqA: SequenceDiagram,
-    seqB: SequenceDiagram,
-    steinitz_pair: tuple | None = None,
-) -> EvidenceReport:
+
+def noniso_evidence(seqA: SequenceDiagram, seqB: SequenceDiagram) -> EvidenceReport:
     """Distinguishing facts between two diagrams.
 
     CONCLUSIVE entries hold for the declared infinite sequences
@@ -255,18 +239,23 @@ def noniso_evidence(
     Simplicial diagrams are compared as groups: a note says that their
     order invariants are not examined.
 
-    The rank-1 verdict compares the base elements of the two period
-    products and factors nothing; only the primes an entry prints are
-    factored.  A caller that already computed ``steinitz`` of both rank-1
-    diagrams passes the results as ``steinitz_pair``, with None for one
-    that raised ``ValueError``; their primes are then the coprime base,
-    found without a gcd, and nothing is factored again.
+    The multipliers of both diagrams are refined with gcds into one
+    coprime base, which the report keeps.  The rank-1 verdict compares the
+    base elements of the two period products and factors nothing; only
+    the primes an entry prints are factored, and ``EvidenceReport.steinitz``
+    gives both invariants over the same base and its factors.
     """
-    report = EvidenceReport()
+    sides = []
     for name, seq in (("A", seqA), ("B", seqB)):
         bad = validate(seq)
         if not bad.ok:
             raise ValueError(f"diagram {name} is invalid: {bad.violations[0]}")
+        try:
+            sides.append((seq, _multipliers(seq)))
+        except ValueError as exc:
+            sides.append((seq, exc))
+    base = _CoprimeBase([m for _, ms in sides if isinstance(ms, list) for m in ms])
+    report = EvidenceReport(_base=base, _sides=tuple(sides))
     if seqA.simplicial or seqB.simplicial:
         report.notes.append(
             "simplicial diagrams are compared as groups only; order "
@@ -279,23 +268,9 @@ def noniso_evidence(
             report.entries.append(
                 Evidence(CONCLUSIVE, f"stabilized colimit ranks differ: {ra} vs {rb}")
             )
-    if not all(r == 1 for r in seqA.ranks) or not all(r == 1 for r in seqB.ranks):
+    (_, msA), (_, msB) = sides
+    if isinstance(msA, ValueError) or isinstance(msB, ValueError):
         return report
-    known: set = set()
-    if steinitz_pair is not None:
-        if any(s is None for s in steinitz_pair):
-            return report
-        known = {p for s in steinitz_pair for p, _ in s.exponents}
-    try:
-        msA, msB = _multipliers(seqA), _multipliers(seqB)
-    except ValueError:
-        return report
-    # the primes of these diagrams' invariants are already a coprime base
-    # of all their multipliers, which the powers it finds multiply back to;
-    # anything else is refined with gcds
-    base = _CoprimeBase((), known)
-    if math.prod(q**e for q, e in base.exponents(msA + msB).items()) != math.prod(msA + msB):
-        base = _CoprimeBase(msA + msB, known)
     if seqA.period is not None and seqB.period is not None:
         expsA, expsB = base.supernatural(seqA, msA), base.supernatural(seqB, msB)
         infinite = [{q for q, e in exps.items() if e == INFINITE} for exps in (expsA, expsB)]

@@ -280,6 +280,68 @@ class TestInvariants:
             "evidence: INDICATIVE prime 2", "evidence: INDICATIVE prime 3"]
         assert sorted(factored) == [2, 3]
 
+    def test_conclusive_pair_factors_each_base_element_once(self, capsys, monkeypatch):
+        factored = []
+        factorint = invariants.factorint
+        monkeypatch.setattr(invariants, "factorint", lambda n: factored.append(n) or factorint(n))
+        assert run(capsys, "invariants", X2, X3)[0] == 0
+        assert sorted(factored) == [2, 3]
+
+    def test_semiprime_pair_shares_one_base(self, capsys, monkeypatch, tmp_path):
+        # 16-bit primes: the verdict and both Steinitz lines use the base
+        # {4, 3, p1, p2, p3}, and each element is factored once
+        p1, p2, p3 = 65521, 65519, 65497
+        seqs = rank1([4, p1 * p2], period=(1, 1)), rank1([9, 3 * p1 * p3], period=(1, 1))
+        paths = write_diagrams(tmp_path, *seqs)
+        factored = []
+        factorint = invariants.factorint
+        monkeypatch.setattr(invariants, "factorint", lambda n: factored.append(n) or factorint(n))
+        code, out, _ = run(capsys, "invariants", *paths)
+        assert code == 0
+        assert sorted(factored) == [3, 4, p3, p2, p1]
+        sa, sb = (str(invariants.steinitz(seq)) for seq in seqs)
+        assert [line for line in out if "steinitz" in line] == [f"A.steinitz: {sa}", f"B.steinitz: {sb}"]
+        assert out[-1] == f"evidence: CONCLUSIVE supernatural invariants inequivalent: {sa} vs {sb}"
+
+    @pytest.mark.parametrize("a, b, lines", [
+        # fib's transition has determinant -1: only the missing ``mono`` withholds its rank
+        (FIB, FIB, [
+            "A.rank: unavailable (diagram not declared mono)",
+            "B.rank: unavailable (diagram not declared mono)",
+            "evidence: none",
+            "note: simplicial diagrams are compared as groups only; order invariants are not examined",
+        ]),
+        (str(FIXTURES / "plane.diag"), X2, [
+            "A.rank: 2",
+            "A.rank_stabilized: true",
+            "B.rank: 1",
+            "B.rank_stabilized: true",
+            "B.steinitz: 2^inf",
+            "evidence: CONCLUSIVE stabilized colimit ranks differ: 2 vs 1",
+        ]),
+        (rank1([0, 2], mono=False), X2, [
+            "A.rank: unavailable (diagram not declared mono)",
+            "A.steinitz: unavailable (zero multiplier at transition 1)",
+            "B.rank: 1",
+            "B.rank_stabilized: true",
+            "B.steinitz: 2^inf",
+            "evidence: none",
+        ]),
+    ], ids=["fib_fib", "plane_x2", "zero_x2"])
+    def test_pair_lines(self, capsys, tmp_path, a, b, lines):
+        if not isinstance(a, str):
+            (a,) = write_diagrams(tmp_path, a)
+        assert run(capsys, "invariants", a, b)[:2] == (0, lines)
+
+
+def write_diagrams(tmp_path, *seqs):
+    """Paths of ``seqs`` emitted to files under ``tmp_path``."""
+    paths = []
+    for i, seq in enumerate(seqs):
+        paths.append(tmp_path / f"{i}.diag")
+        paths[-1].write_text(emit_diagram(seq))
+    return [str(path) for path in paths]
+
 
 class TestDeterminism:
     def test_exit_codes_are_stable_over_corpus(self, capsys):

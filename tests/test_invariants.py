@@ -18,7 +18,6 @@ from colim.invariants import (
     colimit_rank,
     noniso_evidence,
     steinitz,
-    steinitz_each,
 )
 from colim.matrices import Matrix
 
@@ -112,7 +111,7 @@ class TestColimitRank:
         assert colimit_rank(seq) == (2, False)
 
     def test_refuses_non_mono(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^diagram not declared mono$"):
             colimit_rank(rank1([2, 2], mono=False))
 
 
@@ -139,6 +138,10 @@ class TestNonIsoEvidence:
         assert not report.conclusive
         assert any(e.strength == INDICATIVE for e in report.entries)
         assert all("cannot refute" in e.message for e in report.entries if e.strength == INDICATIVE)
+        # 2, 3, 5 and 7 each differ by 2 over the one-multiplier prefixes
+        report = noniso_evidence(rank1([100, 3]), rank1([441]))
+        assert [e.message.split(" exponent")[0] for e in report.entries] == [f"prime {p}" for p in (2, 3, 5, 7)]
+        assert {e.strength for e in report.entries} == {INDICATIVE}
 
     @pytest.mark.parametrize("step", [
         Matrix([[2, 0], [0, 2]]),
@@ -155,36 +158,23 @@ class TestNonIsoEvidence:
             assert noniso_evidence(*pair).notes == [note]
         assert noniso_evidence(rank1([2, 2], period=(0, 1)), rank1([4, 4], period=(0, 1))).notes == []
 
-    def test_given_steinitz_pair_is_used_as_is(self, monkeypatch):
-        x2, x3 = rank1([2, 2], period=(0, 1)), rank1([3, 3], period=(0, 1))
-        zero = rank1([0, 2], mono=False)
-        expected = [noniso_evidence(x2, x3), noniso_evidence(x2, zero)]
-        pair = (steinitz(x2), steinitz(x3))
-        monkeypatch.setattr(invariants, "factorint", None)  # any factorisation raises
-        assert noniso_evidence(x2, x3, steinitz_pair=pair) == expected[0]
-        assert noniso_evidence(x2, zero, steinitz_pair=(pair[0], None)) == expected[1]
-
-    def test_given_steinitz_pair_is_the_coprime_base(self, monkeypatch):
-        # the pair's primes cover every multiplier, so no gcd refines them
-        a, b = rank1([4, 6 * 65521], period=(0, 2)), rank1([9, 5, 65521 * 7], period=(1, 2))
-        expected = noniso_evidence(a, b)
-        pair = tuple(steinitz_each([a, b]))
-
-        def refuse(*args):
-            raise AssertionError("gcd refinement")
-
-        monkeypatch.setattr(invariants.math, "gcd", refuse)
-        assert noniso_evidence(a, b, steinitz_pair=pair) == expected
-
-    def test_steinitz_pair_of_other_diagrams_falls_back_to_gcds(self):
-        # the primes of x2 and x3 do not cover 5 and 7
-        x2, x3 = rank1([2, 2], period=(0, 1)), rank1([3, 3], period=(0, 1))
-        a, b = rank1([10], period=(0, 1)), rank1([21], period=(0, 1))
-        pair = (steinitz(x2), steinitz(x3))
-        assert noniso_evidence(a, b, steinitz_pair=pair) == noniso_evidence(a, b)
-        c, d = rank1([100, 3]), rank1([441])
-        assert noniso_evidence(c, d, steinitz_pair=pair) == noniso_evidence(c, d)
-        assert len(noniso_evidence(c, d).entries) == 4  # 2, 3, 5 and 7 differ by 2
+    def test_report_steinitz_is_each_sides_steinitz(self):
+        # sides without an invariant give the ValueError ``steinitz`` raises
+        plane = SequenceDiagram("plain", [1, 2, 2], [Matrix([[1], [0]]), Matrix.identity(2)], True, (1, 1))
+        seqs = [
+            rank1([4, 6 * 65521], period=(0, 2)), rank1([9, 5, 65521 * 7], period=(1, 2)),
+            rank1([100, 3]), rank1([0, 2], mono=False), plane,
+        ]
+        for a in seqs:
+            for b in seqs:
+                want = []
+                for seq in (a, b):
+                    try:
+                        want.append(steinitz(seq))
+                    except ValueError as exc:
+                        want.append(str(exc))
+                got = noniso_evidence(a, b).steinitz()
+                assert [str(s) if isinstance(s, ValueError) else s for s in got] == want
 
     def test_consistent_with_found_certificates(self):
         pairs = [
