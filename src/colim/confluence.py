@@ -295,13 +295,20 @@ def _composites(seq: SequenceDiagram, last: int):
     return from_stage
 
 
-def _column_gcds_refute(k: Matrix, t: Matrix) -> bool:
-    """Whether some column of ``t`` is not a multiple of the gcd of the
-    same column of ``k``; then ``h * k = t`` has no integer solution, as
-    each ``t[r, c]`` is an integer combination of column ``c`` of ``k``."""
-    for kc, tc in zip(zip(*k.entries), zip(*t.entries)):
+def _column_contents(t: Matrix) -> tuple:
+    """The content (gcd) of each column of ``t``; 0 for a zero column."""
+    return tuple(math.gcd(*tc) for tc in zip(*t.entries)) if t.rows else (0,) * t.cols
+
+
+def _column_gcds_refute(k: Matrix, contents: tuple) -> bool:
+    """Whether ``h * k = t`` has no integer solution because of one
+    column, given ``contents = _column_contents(t)``: each ``t[r, c]``
+    is an integer combination of column ``c`` of ``k``, so the content
+    of column ``c`` of ``t`` is a multiple of ``gcd(k[:, c])`` (zero
+    when that gcd is zero)."""
+    for kc, tg in zip(zip(*k.entries) if k.rows else [()] * k.cols, contents):
         g = math.gcd(*kc)
-        if any(x % g for x in tc) if g else any(tc):
+        if tg % g if g else tg:
             return True
     return False
 
@@ -324,51 +331,76 @@ class _Counter:
 
 class _Search:
     """The state of one :func:`search_confluence` call: its budget, the
-    composites of each side, the node counter, ``solvers``, the solver of
-    each ``K`` (its first :func:`solve_matrix_eq`, whose elimination
-    serves every target of ``K``), and ``halves``, which maps each
-    half-level met so far, ``(side, start stage, K cols, K entries)``, to
-    its live targets, ``()`` when dead.  Entry tuples hash faster than a
-    Matrix; a ``K`` without rows needs its width in the key."""
+    composites of each side, the node counter, ``contents``, the column
+    contents of the horizon target of each ``(side, start stage)``,
+    ``solvers``, the solver of each ``K`` (its first
+    :func:`solve_matrix_eq`, whose elimination serves every target of
+    ``K``), and ``halves``, which maps each half-level met so far,
+    ``(side, start stage, K cols, K entries)``, to ``(solver, live
+    targets)``, or ``()`` when it is dead.  Entry tuples hash faster than
+    a Matrix; a ``K`` without rows needs its width in the key.
+
+    A live target is ``[next stage, substitution, streams]``.  Its row
+    streams are built the first time the search enters it, and its
+    substitution is dropped then, so a target the search never enters
+    costs no stream and an entered one keeps no substitution."""
 
     def __init__(self, budget: SearchBudget, composites: tuple, constraint: str, nodes: _Counter):
         self.budget = budget
         self.composites = composites
         self.constraint = constraint
         self.nodes = nodes
+        self.contents: dict = {}
         self.solvers: dict = {}
         self.halves: dict = {}
 
     def _live(self, side: int, start: int, k: Matrix) -> tuple:
-        """The live targets of a new half-level: none when it has no
-        target or the column gcds refute its horizon target; else the
-        walk back from the horizon to the first inconsistent target."""
+        """A new half-level: ``()`` when it has no target, the column
+        gcds refute its horizon target or the horizon system has no
+        integer solution, else its solver and its live targets, found by
+        substituting back from the horizon to the first inconsistent
+        target."""
         targets = self.composites[side](start)
-        if not targets or _column_gcds_refute(k, targets[-1][1]):
+        if not targets:
+            return ()
+        contents = self.contents.get((side, start))
+        if contents is None:
+            contents = self.contents[side, start] = _column_contents(targets[-1][1])
+        if _column_gcds_refute(k, contents):
             return ()
         solver = self.solvers.get((k.cols, k.entries))
         if solver is None:
             solver = self.solvers[k.cols, k.entries] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
         live = []
         for nxt, target in reversed(targets):
-            streams = solver.streams(target)
-            if streams is None:
+            solved = solver.substitute(target)
+            if solved is None:
                 break
-            live.append((nxt, streams))
-        return tuple(reversed(live))
+            live.append([nxt, solved, None])
+        live.reverse()
+        return (solver, live) if live else ()
 
     def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
         """One half-level: the next map ``h`` solves
         ``h * maps[-1] = transition(stages[-2], next)`` on the side of
-        ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place."""
+        ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place.
+        Entering a live target for the first time builds its row
+        streams."""
         if len(maps) == 2 * self.budget.depth - 1:
             return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
         side, k = len(stages) % 2, maps[-1]
         key = (side, stages[-2], k.cols, k.entries)
-        live = self.halves.get(key)
-        if live is None:
-            live = self.halves[key] = self._live(side, stages[-2], k)
-        for nxt, streams in live:
+        half = self.halves.get(key)
+        if half is None:
+            half = self.halves[key] = self._live(side, stages[-2], k)
+        if not half:
+            return None
+        solver, live = half
+        for target in live:
+            nxt, solved, streams = target
+            if streams is None:
+                streams = target[2] = solver.row_streams(solved)
+                target[1] = None
             stages.append(nxt)
             for rows in itertools.product(*streams):
                 self.nodes.tick()
@@ -399,7 +431,10 @@ def search_confluence(
     once, by one :func:`~colim.matrices.solve_matrix_eq` aimed at the
     horizon target of the first half-level that needs it, and every other
     target of ``K`` reuses that elimination; the solutions come in the
-    order :func:`~colim.matrices.solve_matrix_eq` gives.
+    order :func:`~colim.matrices.solve_matrix_eq` gives.  Resolving a
+    half-level substitutes its targets only; the row streams of a target
+    are built when the search first enters it, so a node limit or a
+    certificate that stops the search first saves them.
 
     Pruning: the targets with an integer solution form a suffix of
     ``j``, since if ``h * K = T_j`` then
@@ -410,9 +445,11 @@ def search_confluence(
 
     Screen: ``h * K = T`` reads ``T[:, c] = h * K[:, c]`` column by
     column, so every entry of column ``c`` of ``T`` is a multiple of
-    ``gcd(K[:, c])`` (zero when that gcd is zero).  A new half-level
-    screens its horizon target this way first; a target that fails makes
-    the half-level dead with no elimination.
+    ``gcd(K[:, c])`` (zero when that gcd is zero), and so is the gcd of
+    that column.  The column gcds of the horizon target of each side and
+    ``s`` are taken once per search; a new half-level compares the column
+    gcds of ``K`` with them first, and a mismatch makes the half-level
+    dead with no elimination.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")

@@ -9,6 +9,7 @@ all call it, and it keeps every entry polynomial in the input size.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Iterator, Sequence
@@ -157,6 +158,12 @@ def _echelon(a: list) -> tuple[list, int]:
     grows beyond a polynomial in the input size.  The nonzero rows end
     first, sorted by pivot column, with positive pivots.
 
+    The loop keeps the pivot columns and the pivot rows in two parallel
+    lists, finds a leading entry by index and reduces the rows above a
+    pivot in place by index.  The nonzero rows end as the unique reduced
+    Hermite normal form of the row lattice, so the result does not depend
+    on how the loop is written.
+
     Callers that need the transform append the identity to ``a``: the
     appended columns undergo the same row steps, so they end as a
     unimodular ``u`` with ``u * a_before = a_after``, reduced in the
@@ -165,49 +172,59 @@ def _echelon(a: list) -> tuple[list, int]:
     Returns the pivot column of each nonzero row, in order, and the
     determinant (+1 or -1) of the row transform.
     """
-    pivots: list = []  # [column, row], sorted by column
+    cols: list = []  # pivot columns, increasing
+    rows: list = []  # the pivot row of each of them
     zeros = []
     sign = 1
     for k, v in enumerate(a):
+        width = len(v)
         j = c = 0
         changed = len(a)  # index of the first pivot row this row changed or became
         while True:
-            for c in range(c, len(v)):
-                if v[c]:
-                    break
-            else:
+            while c < width and not v[c]:
+                c += 1
+            if c == width:
                 zeros.append(v)
                 break
-            while j < len(pivots) and pivots[j][0] < c:
+            while j < len(cols) and cols[j] < c:
                 j += 1
-            if j == len(pivots) or pivots[j][0] > c:
+            if j == len(cols) or cols[j] > c:
                 if v[c] < 0:
                     v = [-s for s in v]
                     sign = -sign
                 if (k - j) % 2:  # the new row moves up past k - j rows
                     sign = -sign
-                pivots.insert(j, [c, v])
-                changed = min(changed, j)
+                cols.insert(j, c)
+                rows.insert(j, v)
+                if j < changed:
+                    changed = j
                 break
-            h = pivots[j][1]
+            h = rows[j]
             p, b = h[c], v[c]
             if b % p:
                 g, x, y = _xgcd(p, b)
-                pivots[j][1] = [x * s + y * t for s, t in zip(h, v)]
-                v = [p // g * t - b // g * s for s, t in zip(h, v)]
-                changed = min(changed, j)
+                rows[j] = [x * s + y * t for s, t in zip(h, v)]
+                p, b = p // g, b // g
+                v = [p * t - b * s for s, t in zip(h, v)]
+                if j < changed:
+                    changed = j
             else:
-                v = [t - b // p * s for s, t in zip(h, v)]
+                q = b // p
+                v = [t - q * s for s, t in zip(h, v)]
         # rows above a changed pivot row are reduced modulo it and every
         # later pivot, in column order, so no reduction undoes another
-        for j in range(changed, len(pivots)):
-            c, h = pivots[j]
-            for above in pivots[:j]:
-                q = above[1][c] // h[c]
+        for j in range(changed, len(rows)):
+            c = cols[j]
+            h = rows[j]
+            p = h[c]
+            for i in range(j):
+                above = rows[i]
+                q = above[c] // p
                 if q:
-                    above[1] = [t - q * s for s, t in zip(h, above[1])]
-    a[:] = [row for _, row in pivots] + zeros
-    return [c for c, _ in pivots], sign
+                    rows[i] = [t - q * s for s, t in zip(h, above)]
+    rows += zeros
+    a[:] = rows
+    return cols, sign
 
 
 def _identity_rows(n: int) -> list:
@@ -315,13 +332,30 @@ def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = Fa
 
 
 def _reduce(k: Matrix) -> tuple:
-    """The first step of solving ``y @ k = c``, shared by every target:
-    ``(width, a, pivots, r)`` with ``a`` the echelon form of ``[k | I]``,
-    ``pivots`` its pivot columns, ``width`` the column count of ``k`` and
-    ``r`` its rank.  :func:`_substitute` takes it."""
-    a = [list(row) + e for row, e in zip(k.entries, _identity_rows(k.rows))]
+    """The part of solving ``y @ k = c`` that every target shares:
+    ``(width, hermite, basis, pivots)``, from one echelon of ``[k | I]``.
+
+    ``width`` is the column count of ``k``; ``hermite`` pairs each of the
+    first ``rank(k)`` rows of the echelon, ``[h_j | u_j]``, with its
+    pivot column; ``basis`` holds the ``u`` part of the other rows, a
+    basis of the left kernel of ``k`` in echelon form, and ``pivots`` its
+    pivot columns.  The rank is where the pivots pass ``width``.  Every
+    :func:`_substitute` call on the result shares ``basis`` and
+    ``pivots``."""
+    width, n = k.cols, k.rows
+    tail = [0] * n
+    a = []
+    for i, row in enumerate(k.entries):
+        a.append([*row, *tail])
+        a[i][width + i] = 1
     pivots, _ = _echelon(a)
-    return k.cols, a, pivots, sum(1 for c in pivots if c < k.cols)
+    r = bisect.bisect_left(pivots, width)
+    return (
+        width,
+        list(zip(pivots[:r], a[:r])),
+        [tuple(row[width:]) for row in a[r:]],
+        [c - width for c in pivots[r:]],
+    )
 
 
 def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
@@ -337,15 +371,15 @@ def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
     ``k``, means ``c`` is no integer combination of the rows of ``h``;
     otherwise the residual is ``[0 | -w * u]``.  The entries of ``w``
     past the rank are free, and those rows of ``u`` span the left kernel
-    of ``k``.  The echelon runs on through ``u``, so these basis rows are
-    in echelon form too, with pivot columns ``pivots``.
+    of ``k``; ``basis`` and ``pivots`` are the ones :func:`_reduce`
+    computed once for ``k``, in echelon form with positive pivots.
     """
-    width, a, pivots, r = reduced
+    width, hermite, basis, pivots = reduced
     z0s = []
-    tail = [0] * len(a)
+    tail = [0] * (len(hermite) + len(basis))
     for c in targets:
         v = [*c, *tail]
-        for row, col in zip(a, pivots[:r]):
+        for col, row in hermite:
             q, rem = divmod(v[col], row[col])
             if rem:
                 return None
@@ -353,33 +387,68 @@ def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
                 v = [x - q * y for x, y in zip(v, row)]
         if any(v[:width]):
             return None
-        z0s.append(tuple(-x for x in v[width:]))
-    return z0s, [tuple(row[width:]) for row in a[r:]], [c - width for c in pivots[r:]]
+        z0s.append(tuple([-x for x in v[width:]]))
+    return z0s, basis, pivots
 
 
-def _row_stream(z0, basis, pivots, entry_bound, nonnegative) -> Iterator[tuple]:
-    """The vectors ``z0 + sum p_j * basis[j]`` with every entry in the box,
-    in lexicographic order of ``(p_0, p_1, ...)``.
+def _row_streams(solved: tuple, entry_bound: int, nonnegative: bool) -> list:
+    """The row streams of a substitution ``(z0s, basis, pivots)`` from
+    :func:`_substitute`: for each ``z0``, the tuple of the vectors
+    ``z0 + sum p_j * basis[j]`` with every entry in the box, in
+    lexicographic order of ``(p_0, p_1, ...)``.
 
-    The basis is in echelon form with positive pivots, and row ``j`` is
-    the last row that is nonzero at its pivot column ``c``.  So once
-    ``p_0 .. p_(j-1)`` are fixed and ``s`` is the partial sum at ``c``,
-    the box at ``c`` gives ``p_j`` its exact range; a leaf check covers
-    the columns that are no pivot.
+    The basis is in echelon form with positive pivots, so once
+    ``p_0 .. p_j`` are fixed, every column from pivot ``j`` up to the
+    next pivot is final: the later rows are zero there.  The range of
+    ``p_j`` is therefore the intersection of the box constraints on all
+    of those columns, and the columns left of the first pivot are fixed
+    by ``z0`` alone and checked once.  So :func:`_walk` reaches only
+    vectors inside the box, and every leaf it reaches is yielded.
     """
+    z0s, basis, pivots = solved
     lo = 0 if nonnegative else -entry_bound
-    return _walk(basis, pivots, lo, entry_bound, 0, list(z0))
+    ends = [*pivots[1:], len(basis[0])] if basis else []
+    rows = [
+        (row, c, [(col, row[col]) for col in range(c + 1, end)])
+        for row, c, end in zip(basis, pivots, ends)
+    ]
+    head = pivots[0] if pivots else None
+    streams = []
+    for z0 in z0s:
+        out: list = []
+        if all(lo <= x <= entry_bound for x in z0[:head]):
+            _walk(rows, lo, entry_bound, 0, z0, out)
+        streams.append(tuple(out))
+    return streams
 
 
-def _walk(basis, pivots, lo, hi, j, z) -> Iterator[tuple]:
-    if j == len(basis):
-        if all(lo <= x <= hi for x in z):
-            yield tuple(z)
+def _walk(rows: list, lo: int, hi: int, j: int, z, out: list) -> None:
+    """Append to ``out`` every vector in the box that ``z`` reaches
+    through basis rows ``j, j + 1, ...``; each entry of ``rows`` is
+    ``(row, pivot, [(column, entry), ...])`` over the columns after the
+    pivot and before the next one."""
+    if j == len(rows):
+        out.append(tuple(z))
         return
-    row, c = basis[j], pivots[j]
+    row, c, rest = rows[j]
     s, d = z[c], row[c]
-    for p in range(-((s - lo) // d), (hi - s) // d + 1):
-        yield from _walk(basis, pivots, lo, hi, j + 1, [x + p * b for x, b in zip(z, row)])
+    first, last = -((s - lo) // d), (hi - s) // d
+    for col, b in rest:
+        s = z[col]
+        if b > 0:
+            low, high = -((s - lo) // b), (hi - s) // b
+        elif b:
+            low, high = -((hi - s) // -b), (s - lo) // -b
+        elif lo <= s <= hi:
+            continue
+        else:
+            return
+        if low > first:
+            first = low
+        if high < last:
+            last = high
+    for p in range(first, last + 1):
+        _walk(rows, lo, hi, j + 1, [x + p * b for x, b in zip(z, row)], out)
 
 
 class MatrixEqSolutions:
@@ -396,8 +465,10 @@ class MatrixEqSolutions:
     materialised in full when iteration starts.
 
     ``k`` is eliminated once, by :func:`_reduce`, and ``t`` substituted
-    once; :meth:`streams` gives the row streams of any target as wide as
-    ``k`` from that one elimination, and keeps nothing.
+    once.  That one elimination serves every target as wide as ``k``,
+    in two steps that keep nothing: :meth:`substitute` solves a target
+    up to its lattice of solutions, and :meth:`row_streams` walks that
+    lattice through the box.  :meth:`streams` does both.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -421,17 +492,26 @@ class MatrixEqSolutions:
         self._solved = _substitute(self._reduced, t.entries)
         self.consistent = self._solved is not None
 
+    def substitute(self, t: Matrix):
+        """The solution lattice of ``X * k = t`` for a ``t`` as wide as
+        ``k``, from the one elimination of ``k``: ``None`` when the
+        system has no integer solution, else a value that only
+        :meth:`row_streams` reads."""
+        if t.cols != self.k.cols:
+            raise ValueError(f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}")
+        return self._solved if t.entries == self.t.entries else _substitute(self._reduced, t.entries)
+
+    def row_streams(self, solved) -> list:
+        """For each row of the target that :meth:`substitute` gave
+        ``solved`` for, the tuple of its solutions within the bound."""
+        return _row_streams(solved, self.entry_bound, self.nonnegative)
+
     def streams(self, t: Matrix):
         """The row streams of ``X * k = t`` for a ``t`` as wide as ``k``:
         for each row of ``t``, the tuple of its solutions within the
         bound, or ``None`` when the system is inconsistent."""
-        if t.cols != self.k.cols:
-            raise ValueError(f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}")
-        solved = self._solved if t.entries == self.t.entries else _substitute(self._reduced, t.entries)
-        if solved is None:
-            return None
-        z0s, basis, pivots = solved
-        return [tuple(_row_stream(z0, basis, pivots, self.entry_bound, self.nonnegative)) for z0 in z0s]
+        solved = self.substitute(t)
+        return None if solved is None else self.row_streams(solved)
 
     def __iter__(self) -> Iterator[Matrix]:
         streams = self.streams(self.t)

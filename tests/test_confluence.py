@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from colim import confluence, matrices
@@ -219,6 +221,48 @@ class TestRoundtrip:
         assert report.ok, report.failures
 
 
+def entered_targets(seqA, seqB, budget):
+    """The targets the search's depth-first walk enters before it stops,
+    found by a plain walk with one uncached ``solve_matrix_eq`` per
+    target: the set of ``(side, start stage, K, next stage)`` whose
+    system is consistent, reached before a certificate or the node
+    limit ends the walk."""
+    seqs = (seqA, seqB)
+    constraint = "nonnegative" if seqA.simplicial else "any"
+    last = [budget.stage_horizon if s.has_stage(budget.stage_horizon) else s.length for s in seqs]
+    entered, nodes = set(), [0]
+
+    class Stop(Exception):
+        pass
+
+    def visit():
+        nodes[0] += 1
+        if nodes[0] > budget.node_limit:
+            raise Stop
+
+    def extend(stages, maps):
+        if len(maps) == 2 * budget.depth - 1:
+            raise Stop
+        side = len(stages) % 2
+        for nxt in range(stages[-2] + 1, last[side] + 1):
+            sols = solve_matrix_eq(maps[-1], transition(seqs[side], stages[-2], nxt), constraint, budget.entry_bound)
+            if sols.consistent:
+                entered.add((side, stages[-2], maps[-1], nxt))
+            for h in sols:
+                visit()
+                extend(stages + [nxt], maps + [h])
+
+    try:
+        for i1 in range(1, last[0] + 1):
+            for k1 in range(1, last[1] + 1):
+                for f1 in iter_matrices(seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial):
+                    visit()
+                    extend([i1, k1], [f1])
+    except Stop:
+        pass
+    return entered
+
+
 class TestSearch:
     def test_finds_x2_x4(self):
         cert = search_confluence(X2, X4, SearchBudget(3, 8, 12, 200000))
@@ -339,6 +383,41 @@ class TestSearch:
             out_of_nodes += len(nodes) > budget.node_limit
         assert found >= 5 and out_of_nodes >= 40
 
+    def test_streams_are_built_for_the_entered_targets_only(self, rng, monkeypatch):
+        # a half-level substitutes its live targets when it is resolved,
+        # but builds a target's row streams only when the walk enters it,
+        # once; node-limited searches leave most live targets unentered
+        row_streams, substitute = matrices.MatrixEqSolutions.row_streams, matrices.MatrixEqSolutions.substitute
+        built, substituted = [], []
+
+        def recorded_streams(solver, solved):
+            z0s = solved[0]
+            built.append((solver.k, Matrix(z0s, cols=solver.k.rows) * solver.k))
+            return row_streams(solver, solved)
+
+        def counted_substitute(solver, t):
+            substituted.append(t)
+            return substitute(solver, t)
+
+        monkeypatch.setattr(matrices.MatrixEqSolutions, "row_streams", recorded_streams)
+        monkeypatch.setattr(matrices.MatrixEqSolutions, "substitute", counted_substitute)
+        cases = [(X2, X3, SearchBudget(3, 8, 12, 10))]
+        # the shapes of the benchmark's library searches
+        for n in range(40):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            seqA, seqB = (random_diagram(rng, stages, max_rank=3, bound=3, mode=mode) for _ in "AB")
+            cases.append((seqA, seqB, SearchBudget(3, 3, stages, 100)))
+        total_built = total_substituted = 0
+        for seqA, seqB, budget in cases:
+            built.clear()
+            substituted.clear()
+            search_confluence(seqA, seqB, budget)
+            got, total_built, total_substituted = Counter(built), total_built + len(built), total_substituted + len(substituted)
+            seqs = (seqA, seqB)
+            entered = entered_targets(seqA, seqB, budget)
+            assert got == Counter((k, transition(seqs[side], start, nxt)) for side, start, k, nxt in entered)
+        assert total_built >= 300 and 2 * total_built < total_substituted
+
     @pytest.mark.parametrize("copies, x, y", [
         (1 + n % 3, x, y)
         for n, (x, y) in enumerate([(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 2), (5, 2), (7, 2)])
@@ -416,7 +495,7 @@ class TestColumnGcdScreen:
             t = random_matrix(rng, rng.randint(0, 3), k.cols, 3)
             if rng.random() < 0.3:  # columns scaled onto or off a big gcd
                 t = Matrix([[x * (2**40 + 1) + rng.randint(0, 1) for x in row] for row in t.entries], cols=k.cols)
-            if confluence._column_gcds_refute(k, t):
+            if confluence._column_gcds_refute(k, confluence._column_contents(t)):
                 refuted += 1
                 assert not solve_matrix_eq(k, t).consistent
         assert refuted >= 150
@@ -425,24 +504,33 @@ class TestColumnGcdScreen:
         for _ in range(600):
             k = self.random_k(rng, rng.randint(0, 3), rng.randint(0, 3))
             h = random_matrix(rng, rng.randint(0, 3), k.rows, rng.choice([3, 2**40 + 1]))
-            assert not confluence._column_gcds_refute(k, h * k)
+            assert not confluence._column_gcds_refute(k, confluence._column_contents(h * k))
 
     def test_exact_on_1x1_systems(self):
         values = [*range(-8, 9), 2**40 + 1, -(2**40 + 1), 3 * (2**40 + 1), 2**41]
         for a in values:
             for b in values:
                 k, t = Matrix([[a]]), Matrix([[b]])
-                assert confluence._column_gcds_refute(k, t) == (not solve_matrix_eq(k, t).consistent)
+                assert confluence._column_gcds_refute(k, confluence._column_contents(t)) == (not solve_matrix_eq(k, t).consistent)
 
     def test_refutes_half_the_inconsistent_horizon_systems(self, rng, monkeypatch):
         # the benchmark's library searches: ranks 1-3, entries within 3,
         # depth 3, bound 3, 100 nodes
-        screen, seen = confluence._column_gcds_refute, []
+        screen, contents, seen = confluence._column_gcds_refute, confluence._column_contents, []
 
-        def recorded(k, t):
-            seen.append((k, t, screen(k, t)))
+        class Contents(tuple):  # a target's column contents, tagged with the target
+            pass
+
+        def tagged(t):
+            c = Contents(contents(t))
+            c.target = t
+            return c
+
+        def recorded(k, c):
+            seen.append((k, c.target, screen(k, c)))
             return seen[-1][2]
 
+        monkeypatch.setattr(confluence, "_column_contents", tagged)
         monkeypatch.setattr(confluence, "_column_gcds_refute", recorded)
         for n in range(40):
             stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]

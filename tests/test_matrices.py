@@ -352,6 +352,136 @@ class TestSplitSolver:
                 assert Matrix(m.entries, cols=m.cols) == m
 
 
+def assert_reduced_hermite(a, pivots):
+    """``a`` after ``_echelon``: positive pivots in increasing columns,
+    entries above each pivot in ``[0, pivot)``, zero rows last."""
+    assert all(x < y for x, y in zip(pivots, pivots[1:]))
+    for i, row in enumerate(a):
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if i >= len(pivots):
+            assert lead is None
+            continue
+        c = pivots[i]
+        assert lead == c and row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in a[:i])
+
+
+def echelon_with_transform(m, n):
+    """``_echelon`` of ``[m | I]``: ``(h, u, pivots, sign)`` with ``h``
+    and ``u`` the left and right blocks of the result."""
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    pivots, sign = _echelon(a)
+    assert_reduced_hermite(a, pivots)
+    width = len(a[0]) - n if a else 0
+    return [r[:width] for r in a], [r[width:] for r in a], pivots, sign
+
+
+class TestEchelonIsTheUniqueHermiteForm:
+    """Every caller reads ``_echelon``'s output as the unique reduced
+    Hermite normal form, so a rewrite of the loop must give it bit for
+    bit: these pin its shape and, through the transform, its lattice."""
+
+    def test_k_with_identity(self, rng):
+        # the solver's [K | I] for every K shape from 0x0 to 3x3
+        for rows, cols in itertools.product(range(4), repeat=2):
+            for n in range(25):
+                if rows and cols and n % 3 == 0:  # rank 1
+                    k = random_matrix(rng, rows, 1, 3) * random_matrix(rng, 1, cols, 3)
+                else:
+                    k = random_matrix(rng, rows, cols, 3)
+                h, u, pivots, sign = echelon_with_transform(k.to_lists(), rows)
+                assert len(pivots) == rows  # [K | I] has full row rank
+                assert Matrix(u, cols=rows) * k == Matrix(h, cols=cols)
+                assert bareiss_det(Matrix(u, cols=rows)) == sign
+                assert sum(1 for c in pivots if c < cols) == bareiss_rank(k)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_square_and_wide(self, n):
+        rng = random.Random(f"echelon:{n}")
+        for wide, deficient in itertools.product((False, True), repeat=2):
+            cols = 2 * n if wide else n
+            for _ in range(4):
+                if deficient:  # rank n - 1 or n - 2
+                    inner = n - rng.randint(1, 2)
+                    m = (random_matrix(rng, n, inner, 3) * random_matrix(rng, inner, cols, 3)).to_lists()
+                else:
+                    m = random_matrix(rng, n, cols, 9).to_lists()
+                a = [list(r) for r in m]
+                pivots, _ = _echelon(a)
+                assert_reduced_hermite(a, pivots)
+                assert len(pivots) == bareiss_rank(Matrix(m))
+                # the same rows with the transform appended: its left block
+                # is the same form, reached by a unimodular u
+                h, u, _, sign = echelon_with_transform(m, n)
+                assert h == a
+                assert Matrix(u, cols=n) * Matrix(m) == Matrix(h, cols=len(m[0]))
+                assert bareiss_det(Matrix(u, cols=n)) == sign
+
+
+class TestExactRowStreams:
+    """A basis row fixes every column from its pivot to the next pivot,
+    so the walk's ranges are exact: a row stream is the box filter of
+    the coset, in coset order, and every leaf the walk reaches is in it."""
+
+    @staticmethod
+    def system(rng, dim):
+        """``k`` with a left kernel of dimension ``dim``, 1-4 rows."""
+        while True:
+            n = rng.randint(max(dim, 1), 4)
+            inner = n - dim
+            w = rng.randint(max(inner, 1), 4)
+            k = random_matrix(rng, n, inner, 3) * random_matrix(rng, inner, w, 3)
+            if n - rank(k) == dim:
+                return k
+
+    @staticmethod
+    def coset_coordinates(y, z0, basis, pivots):
+        """The ``p`` with ``y = z0 + sum p_j * basis[j]``, read off the
+        pivot columns of the echelon basis."""
+        rest, p = [a - b for a, b in zip(y, z0)], []
+        for row, c in zip(basis, pivots):
+            q, r = divmod(rest[c], row[c])
+            assert r == 0
+            p.append(q)
+            rest = [a - q * b for a, b in zip(rest, row)]
+        assert not any(rest)
+        return tuple(p)
+
+    def test_streams_are_the_box_filter_of_the_coset(self, rng, monkeypatch):
+        walk, leaves = matrices._walk, []
+
+        def counted(rows, lo, hi, j, z, out):
+            leaves.append(j == len(rows))
+            walk(rows, lo, hi, j, z, out)
+
+        monkeypatch.setattr(matrices, "_walk", counted)
+        yielded = nonempty = 0
+        for dim in range(4):
+            for _ in range(12):
+                k = self.system(rng, dim)
+                # every vector of the widest box, grouped by its image
+                images: dict = {}
+                for y in itertools.product(range(-4, 5), repeat=k.rows):
+                    images.setdefault(Matrix([y]) * k, []).append(y)
+                x = random_matrix(rng, 2, k.rows, 2)
+                t = Matrix([x.entries[0], random_matrix(rng, 1, k.rows, 4).entries[0]]) * k
+                solved = _substitute(_reduce(k), t.entries)
+                z0s, basis, pivots = solved
+                assert len(basis) == dim
+                for bound, nonneg in itertools.product(range(5), (False, True)):
+                    lo = 0 if nonneg else -bound
+                    leaves.clear()
+                    streams = matrices._row_streams(solved, bound, nonneg)
+                    for z0, stream, c in zip(z0s, streams, t.entries):
+                        box = [y for y in images.get(Matrix([c]), []) if all(lo <= v <= bound for v in y)]
+                        order = sorted(box, key=lambda y: self.coset_coordinates(y, z0, basis, pivots))
+                        assert list(stream) == order
+                        nonempty += bool(stream)
+                    assert sum(leaves) == sum(map(len, streams))
+                    yielded += sum(leaves)
+        assert nonempty >= 200 and yielded >= 1000
+
+
 class TestSolveMatrixEq:
     def test_forced(self):
         sols = solve_matrix_eq(Matrix([[2]]), Matrix([[4]]), "nonnegative", 10)
