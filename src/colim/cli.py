@@ -198,6 +198,14 @@ def _print_single_invariants(label: str, seq, s) -> None:
         print(f"{prefix}steinitz: {s}")
 
 
+def _print_unproven_notes(numbers) -> None:
+    """Note each factor not proven prime of the Steinitz invariants among
+    ``numbers`` (the others are the errors that say why a side has none)."""
+    unproven = {n for s in numbers if not isinstance(s, ValueError) for n in s.unproven}
+    for n in sorted(unproven):
+        print(f"note: {n} is not proven prime; printed unsplit")
+
+
 def _cmd_invariants(args) -> int:
     seq = _load_diagram(args.diagram_a)
     if args.diagram_b is None:
@@ -206,10 +214,12 @@ def _cmd_invariants(args) -> int:
         except ValueError as exc:
             s = exc
         _print_single_invariants("", seq, s)
+        _print_unproven_notes([s])
         return EXIT_OK
     seqs = (seq, _load_diagram(args.diagram_b))
     report = invariants.noniso_evidence(*seqs)
-    for label, seq, s in zip("AB", seqs, report.steinitz()):
+    numbers = report.steinitz()
+    for label, seq, s in zip("AB", seqs, numbers):
         _print_single_invariants(label, seq, s)
     if report.empty:
         print("evidence: none")
@@ -217,6 +227,7 @@ def _cmd_invariants(args) -> int:
         print(f"evidence: {entry.strength} {entry.message}")
     for note in report.notes:
         print(f"note: {note}")
+    _print_unproven_notes(numbers)
     return EXIT_OK
 
 

@@ -26,6 +26,17 @@ of powers.  A prime's exponent in a multiplier is that of its base
 element times its exponent in that element, so two period products have
 the same primes exactly when the same base elements divide them.  A base
 element is factored, at most once, only when its primes are printed.
+
+Printing uses ``factorint``, a splitter on the standard library alone:
+trial division by the primes up to 41, a strong-probable-prime test to
+those 13 bases, which proves primality below ``_PROVEN_BELOW`` (about
+3.3e24; Sorenson and Webster, Math. Comp. 86, 2017), and Brent's rho
+(BIT 20, 1980) within ``_RHO_STEPS`` steps per call.  A part the budget
+does not split, or a probable prime it cannot prove, stays one factor.
+Such a factor is still a product of powers of primes, so equivalence is
+decided over a coprime base rather than by key, and every printed report
+notes it (``SupernaturalNumber.unproven``).  No call runs past the budget,
+whatever the size of its primes.
 """
 
 from __future__ import annotations
@@ -51,9 +62,13 @@ INDICATIVE_GAP = 2
 
 @dataclass(frozen=True)
 class SupernaturalNumber:
-    """Map prime -> exponent in N u {infinity}; zero exponents omitted."""
+    """Map factor -> exponent in N u {infinity}; zero exponents omitted.
 
-    exponents: tuple  # sorted ((prime, exponent), ...)
+    The factors are pairwise coprime and prime, except those in
+    ``unproven``: parts that ``factorint`` did not split within its budget,
+    or could not prove prime, each printed as one factor."""
+
+    exponents: tuple  # sorted ((factor, exponent), ...)
 
     @staticmethod
     def from_dict(d: dict) -> "SupernaturalNumber":
@@ -67,9 +82,19 @@ class SupernaturalNumber:
     def infinite_primes(self) -> frozenset:
         return frozenset(p for p, e in self.exponents if e == INFINITE)
 
+    @property
+    def unproven(self) -> tuple:
+        """The factors not proven prime, in increasing order."""
+        return tuple(p for p, _ in self.exponents if not _proven_prime(p))
+
     def equivalent(self, other: "SupernaturalNumber") -> bool:
-        """Equality up to finitely many finite-exponent differences."""
-        return self.infinite_primes == other.infinite_primes
+        """Equality up to finitely many finite-exponent differences: the
+        same primes have infinite exponent.  The infinite factors are
+        compared over one coprime base, so an unsplit ``p*q`` matches ``p``
+        and ``q`` given apart."""
+        mine, theirs = self.infinite_primes, other.infinite_primes
+        base = _CoprimeBase(mine | theirs)
+        return base.exponents(mine).keys() == base.exponents(theirs).keys()
 
     def __str__(self) -> str:
         if not self.exponents:
@@ -97,22 +122,103 @@ def _multipliers(seq: SequenceDiagram) -> list:
     return ms
 
 
+# the strong-probable-prime bases, which are also the trial divisors
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this bound a strong probable prime to all of _SPRP_BASES is prime
+_PROVEN_BELOW = 3317044064679887385961981
+# the Brent rho steps one ``factorint`` call may spend, over all its retries
+_RHO_STEPS = 1 << 18
+
+
+def _sprp(n: int) -> bool:
+    """Whether ``n > 41`` is a strong probable prime to every base of
+    ``_SPRP_BASES``; false for even ``n`` and multiples of a base."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _proven_prime(n: int) -> bool:
+    return n in _SPRP_BASES if n <= 41 else n < _PROVEN_BELOW and _sprp(n)
+
+
+def _rho(n: int, steps: int) -> tuple:
+    """``(d, steps left)``: a divisor ``1 < d < n`` of the composite ``n``,
+    or ``None`` when the next round would spend more than ``steps``.
+    Brent's rho iterates ``y*y + c`` from 2 in rounds of doubling length,
+    with gcds batched over 128 steps.  A ``c`` whose cycles close modulo
+    every prime of ``n`` at once finds ``n`` itself; the next ``c`` retries."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            if 2 * r > steps:
+                return None, steps
+            steps -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys, q = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # step through the last batch one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g < n:
+            return g, steps
+
+
 def factorint(n: int) -> dict:
-    """Prime -> exponent of ``n > 0``.
+    """Factor -> exponent of ``n > 0``, with the standard library alone.
 
-    Only printing a Steinitz invariant's primes factors integers, so sympy
-    is imported on the first call rather than with the package.
+    The factors are pairwise coprime and prime, except a part that
+    ``_RHO_STEPS`` steps of Brent's rho do not split, or a probable prime at
+    or above ``_PROVEN_BELOW``: such a part stays one factor, which
+    ``_proven_prime`` rejects.  The parts found are refined into a coprime
+    base, so their product is always ``n``.
     """
-    from sympy import factorint as sympy_factorint
-
-    return sympy_factorint(n)
+    parts = [p for p in _SPRP_BASES if n % p == 0]
+    m = n
+    for p in parts:
+        while m % p == 0:
+            m //= p
+    pending, steps = [m] if m > 1 else [], _RHO_STEPS
+    while pending:
+        m = pending.pop()
+        d = None
+        if not _sprp(m):
+            d, steps = _rho(m, steps)
+        if d is None:
+            parts.append(m)
+        else:
+            pending += [d, m // d]
+    return _CoprimeBase(parts).exponents([n])
 
 
 class _CoprimeBase:
     """A coprime base of some multipliers: pairwise coprime integers > 1 of
     which every multiplier is a product of powers, found with gcds alone.
-    Elements are factored into primes only when a caller asks for primes,
-    and the base keeps their factors, so each is factored at most once.
+    Elements are factored only when a caller asks for primes, and the base
+    keeps their factors, so each is factored at most once.
 
     A base element ``b`` and a pending ``x`` with ``g = gcd(x, b) > 1`` give
     way to those of ``g``, ``b // g`` and ``x // g`` above 1.  Each such
@@ -158,7 +264,8 @@ class _CoprimeBase:
         return exps
 
     def primes(self, exps: dict) -> dict:
-        """Prime -> exponent of the product of ``q ** e`` over ``exps``."""
+        """Factor -> exponent of the product of ``q ** e`` over ``exps``, as
+        ``factorint`` splits each ``q``."""
         out: dict = {}
         for q, e in exps.items():
             if q not in self._factors:

@@ -1,9 +1,11 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from sympy import prevprime
 
 from colim import confluence, diagrams, invariants
 from colim.cli import main
@@ -303,6 +305,29 @@ class TestInvariants:
         assert [line for line in out if "steinitz" in line] == [f"A.steinitz: {sa}", f"B.steinitz: {sb}"]
         assert out[-1] == f"evidence: CONCLUSIVE supernatural invariants inequivalent: {sa} vs {sb}"
 
+    def test_unsplit_semiprime_period_is_decided_and_noted(self, tmp_path):
+        # a (96-bit prime) * (105-bit prime) period: the verdict needs gcds
+        # only, and the splitter's budget ends before it finds either prime
+        n = prevprime(2**96) * prevprime(2**105)
+        (path,) = write_diagrams(tmp_path, rank1([n], period=(0, 1)))
+        proc, imported = fresh_interpreter("-m", "colim.cli", "invariants", path, X2, timeout=10)
+        assert proc.returncode == 0
+        assert "sympy" not in imported
+        assert proc.stdout.splitlines()[-2:] == [
+            f"evidence: CONCLUSIVE supernatural invariants inequivalent: {n}^inf vs 2^inf",
+            f"note: {n} is not proven prime; printed unsplit",
+        ]
+
+    def test_single_unsplit_factor_is_noted(self, capsys, tmp_path):
+        p, q = prevprime(2**45), prevprime(2**44)
+        (path,) = write_diagrams(tmp_path, rank1([12, p * q], period=(1, 1)))
+        assert run(capsys, "invariants", path)[:2] == (0, [
+            "rank: 1",
+            "rank_stabilized: true",
+            f"steinitz: 2^2*3*{p * q}^inf",
+            f"note: {p * q} is not proven prime; printed unsplit",
+        ])
+
     @pytest.mark.parametrize("a, b, lines", [
         # fib's transition has determinant -1: only the missing ``mono`` withholds its rank
         (FIB, FIB, [
@@ -359,11 +384,12 @@ class TestDeterminism:
         assert [(c, o) for c, o, _ in first] == [(c, o) for c, o, _ in second]
 
 
-def fresh_interpreter(*args):
+def fresh_interpreter(*args, timeout=None):
     """Run ``python -X importtime *args`` in a new process with ``src`` on
     the path; returns the process and the names of the modules it imported."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     return proc, imported
 
@@ -400,10 +426,10 @@ class TestColdStart:
         assert proc.stdout == "True\n"
         assert "sympy" not in imported
 
-    def test_invariants_loads_sympy_and_prints_the_same_lines(self):
+    def test_invariants_does_not_load_sympy_and_prints_the_same_lines(self):
         proc, imported = fresh_interpreter("-m", "colim.cli", "invariants", X2, X3)
         assert proc.returncode == 0
-        assert "sympy" in imported
+        assert "sympy" not in imported
         assert proc.stdout.splitlines() == [
             "A.rank: 1",
             "A.rank_stabilized: true",
@@ -413,6 +439,18 @@ class TestColdStart:
             "B.steinitz: 3^inf",
             "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf",
         ]
+
+
+class TestStdlibOnly:
+    @pytest.mark.parametrize("path", sorted((SRC / "colim").glob("*.py")), ids=lambda path: path.name)
+    def test_imports_only_the_standard_library(self, path):
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module)
+        assert {m.split(".")[0] for m in modules} - sys.stdlib_module_names - {"colim"} == set()
 
 
 class TestRepeatedMain:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from sympy import factorint, isprime
+from sympy import factorint, isprime, prevprime, randprime
 
 from colim import invariants
 from colim.confluence import SearchBudget, search_confluence
@@ -92,6 +92,21 @@ class TestEquivalence:
         assert a.equivalent(b)
         c = SupernaturalNumber.from_dict({2: INF, 3: INF})
         assert not a.equivalent(c)
+
+    def test_unsplit_product_matches_its_primes(self):
+        p, q = prevprime(2**45), prevprime(2**44)
+        unsplit = steinitz(rank1([4, p * q], period=(1, 1)))
+        assert unsplit.as_dict() == {2: 2, p * q: INF}
+        assert unsplit.unproven == (p * q,)
+        for other, same in [
+            ({p: INF, q: INF}, True),
+            ({q: INF, 7: 3, p: INF}, True),
+            ({p: INF}, False),
+            ({p: INF, q: INF, 3: INF}, False),
+            ({p * q: 1, q: INF}, False),
+        ]:
+            other = SupernaturalNumber.from_dict(other)
+            assert unsplit.equivalent(other) == other.equivalent(unsplit) == same
 
 
 class TestColimitRank:
@@ -300,3 +315,62 @@ class TestCoprimeBaseOracle:
                 assert steinitz(seq) == want
             assert noniso_evidence(a, b) == reference_evidence(a, b, INDICATIVE_GAP)
         assert len(kinds) == 4
+
+
+class TestFactorint:
+    """``invariants.factorint`` against sympy's: the product of the factors
+    is always ``n``, and where every factor is proven prime it is sympy's
+    factorisation."""
+
+    CARMICHAEL = [561, 41041, 825265]
+    # the least strong pseudoprimes to the first 1, 4 and 11 prime bases
+    STRONG_PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051]
+    # 53 * 59 and 43 * 83: rho on ``y*y + 1`` finds ``n`` itself, so they
+    # are split only by a retry with another constant
+    RETRY = [3127, 3569]
+
+    def check(self, n):
+        got = invariants.factorint(n)
+        assert math.prod(f**e for f, e in got.items()) == n
+        if all(invariants._proven_prime(f) for f in got):
+            assert got == factorint(n)
+        return got
+
+    def test_seeded_against_sympy(self):
+        rng = random.Random(1414)
+        cases = [math.prod(rng.choice([2, 3, 5, 7, 11, 13, 41, 43, 47, 97]) ** rng.randint(1, 5)
+                           for _ in range(rng.randint(1, 4))) for _ in range(100)]
+        for bits in range(15, 41):
+            p = randprime(2 ** (bits - 1), 2**bits)
+            q, r = (randprime(2 ** (bits // 2 - 1), 2 ** (bits // 2)) for _ in range(2))
+            cases += [p, q * r, q * q, q**3, 4 * q * r, q * q * r]
+        for n in cases:
+            # every split here needs rho to find a factor below 2**20 only,
+            # well inside its budget, so every factor is proven prime
+            assert all(invariants._proven_prime(f) for f in self.check(n)), n
+
+    def test_carmichael_and_strong_pseudoprimes_are_split(self):
+        assert [self.check(n) for n in self.CARMICHAEL + self.STRONG_PSEUDOPRIMES + self.RETRY] == [
+            {3: 1, 11: 1, 17: 1},
+            {7: 1, 11: 1, 13: 1, 41: 1},
+            {5: 1, 7: 1, 17: 1, 19: 1, 73: 1},
+            {23: 1, 89: 1},
+            {151: 1, 751: 1, 28351: 1},
+            {149491: 1, 747451: 1, 34233211: 1},
+            {53: 1, 59: 1},
+            {43: 1, 83: 1},
+        ]
+
+    def test_mersenne_61_is_proven_prime(self):
+        assert self.check(2**61 - 1) == {2**61 - 1: 1}
+
+    def test_budget_leaves_a_part_unsplit(self):
+        p, q = prevprime(2**45), prevprime(2**44)
+        assert self.check(p * q) == {p * q: 1}
+        assert self.check(12 * p * q) == {2: 2, 3: 1, p * q: 1}
+
+    def test_probable_prime_above_the_proven_bound_is_unproven(self):
+        m89 = 2**89 - 1
+        assert invariants.factorint(m89) == {m89: 1}
+        assert not invariants._proven_prime(m89)
+        assert invariants._proven_prime(invariants._PROVEN_BELOW - 1) == isprime(invariants._PROVEN_BELOW - 1)
