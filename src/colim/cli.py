@@ -51,16 +51,11 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _load_diagram(path: str, check: bool = True):
+def _load(parse, path: str, **kwargs):
+    """``parse`` of the text of the file at ``path``, reporting a
+    ``FormatError`` as a user error that names the file."""
     try:
-        return parse_diagram(_read(path), check=check)
-    except FormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_certificate(path: str):
-    try:
-        return parse_certificate(_read(path))
+        return parse(_read(path), **kwargs)
     except FormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -84,7 +79,7 @@ def _horizon(args, seq) -> int:
 
 
 def _cmd_validate(args) -> int:
-    seq = _load_diagram(args.diagram, check=False)
+    seq = _load(parse_diagram, args.diagram, check=False)
     report = validate(seq)
     print(f"file: {args.diagram}")
     print(f"status: {'clean' if report.ok else 'invalid'}")
@@ -94,9 +89,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seqA = _load_diagram(args.diagram_a)
-    seqB = _load_diagram(args.diagram_b)
-    cert = _load_certificate(args.certificate)
+    seqA = _load(parse_diagram, args.diagram_a)
+    seqB = _load(parse_diagram, args.diagram_b)
+    cert = _load(parse_certificate, args.certificate)
     report = confluence.verify_certificate(seqA, seqB, cert)
     print(f"status: {'accepted' if report.accepted else 'rejected'}")
     if report.accepted:
@@ -110,8 +105,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    seqA = _load_diagram(args.diagram_a)
-    seqB = _load_diagram(args.diagram_b)
+    seqA = _load(parse_diagram, args.diagram_a)
+    seqB = _load(parse_diagram, args.diagram_b)
     budget = _user_call(confluence.SearchBudget, args.depth, args.bound, args.horizon, args.nodes)
     cert = _user_call(confluence.search_confluence, seqA, seqB, budget)
     if cert is None:
@@ -134,9 +129,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    seqA = _load_diagram(args.diagram_a)
-    seqB = _load_diagram(args.diagram_b)
-    cert = _load_certificate(args.certificate)
+    seqA = _load(parse_diagram, args.diagram_a)
+    seqB = _load(parse_diagram, args.diagram_b)
+    cert = _load(parse_certificate, args.certificate)
     report = confluence.verify_certificate(seqA, seqB, cert)
     if not report.accepted:
         print("status: rejected")
@@ -160,21 +155,21 @@ def _print_trilean(answer) -> int:
 
 
 def _cmd_equal(args) -> int:
-    seq = _load_diagram(args.diagram)
+    seq = _load(parse_diagram, args.diagram)
     horizon = _horizon(args, seq)
     e1, e2 = parse_element(args.e1), parse_element(args.e2)
     return _print_trilean(_user_call(colimit.equal_at, seq, e1, e2, horizon))
 
 
 def _cmd_cone(args) -> int:
-    seq = _load_diagram(args.diagram)
+    seq = _load(parse_diagram, args.diagram)
     horizon = _horizon(args, seq)
     e = parse_element(args.element)
     return _print_trilean(_user_call(colimit.cone_member, seq, e, horizon))
 
 
 def _cmd_divisible(args) -> int:
-    seq = _load_diagram(args.diagram)
+    seq = _load(parse_diagram, args.diagram)
     horizon = _horizon(args, seq)
     e = parse_element(args.element)
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
@@ -207,7 +202,7 @@ def _print_unproven_notes(numbers) -> None:
 
 
 def _cmd_invariants(args) -> int:
-    seq = _load_diagram(args.diagram_a)
+    seq = _load(parse_diagram, args.diagram_a)
     if args.diagram_b is None:
         try:
             s = invariants.steinitz(seq)
@@ -216,7 +211,7 @@ def _cmd_invariants(args) -> int:
         _print_single_invariants("", seq, s)
         _print_unproven_notes([s])
         return EXIT_OK
-    seqs = (seq, _load_diagram(args.diagram_b))
+    seqs = (seq, _load(parse_diagram, args.diagram_b))
     report = invariants.noniso_evidence(*seqs)
     numbers = report.steinitz()
     for label, seq, s in zip("AB", seqs, numbers):

@@ -280,17 +280,19 @@ class SearchBudget:
 
 
 def _composites(seq: SequenceDiagram, last: int):
-    """A function that gives the list of ``(j, transition(seq, i, j))``
-    for ``j = i + 1 .. last``, built one step at a time on the first call
-    for each start stage ``i`` and kept for the next ones."""
+    """A function that gives, for a start stage ``i``, the list of
+    ``(j, transition(seq, i, j))`` for ``j = i + 1 .. last`` and the
+    :func:`_column_contents` of the last of them (``None`` when there is
+    none), built one step at a time on the first call for each ``i`` and
+    kept for the next ones."""
 
     @functools.cache
-    def from_stage(i: int) -> list:
+    def from_stage(i: int) -> tuple:
         done: list = []
         for j in range(i + 1, last + 1):
             step = transition(seq, j - 1, j)
             done.append((j, step * done[-1][1] if done else step))
-        return done
+        return done, _column_contents(done[-1][1]) if done else None
 
     return from_stage
 
@@ -331,14 +333,14 @@ class _Counter:
 
 class _Search:
     """The state of one :func:`search_confluence` call: its budget, the
-    composites of each side, the node counter, ``contents``, the column
-    contents of the horizon target of each ``(side, start stage)``,
-    ``solvers``, the solver of each ``K`` (its first
-    :func:`solve_matrix_eq`, whose elimination serves every target of
-    ``K``), and ``halves``, which maps each half-level met so far,
-    ``(side, start stage, K cols, K entries)``, to ``(solver, live
-    targets)``, or ``()`` when it is dead.  Entry tuples hash faster than
-    a Matrix; a ``K`` without rows needs its width in the key.
+    composites of each side (with the column contents of each start
+    stage's horizon target), the node counter, ``solvers``, the solver
+    of each ``K`` (its first :func:`solve_matrix_eq`, whose elimination
+    serves every target of ``K``), and ``halves``, which maps each
+    half-level met so far, ``(side, start stage, K cols, K entries)``, to
+    ``(solver, live targets)``, or ``()`` when it is dead.  Entry tuples
+    hash faster than a Matrix; a ``K`` without rows needs its width in the
+    key.
 
     A live target is ``[next stage, substitution, streams]``.  Its row
     streams are built the first time the search enters it, and its
@@ -350,7 +352,6 @@ class _Search:
         self.composites = composites
         self.constraint = constraint
         self.nodes = nodes
-        self.contents: dict = {}
         self.solvers: dict = {}
         self.halves: dict = {}
 
@@ -360,13 +361,8 @@ class _Search:
         integer solution, else its solver and its live targets, found by
         substituting back from the horizon to the first inconsistent
         target."""
-        targets = self.composites[side](start)
-        if not targets:
-            return ()
-        contents = self.contents.get((side, start))
-        if contents is None:
-            contents = self.contents[side, start] = _column_contents(targets[-1][1])
-        if _column_gcds_refute(k, contents):
+        targets, contents = self.composites[side](start)
+        if not targets or _column_gcds_refute(k, contents):
             return ()
         solver = self.solvers.get((k.cols, k.entries))
         if solver is None:

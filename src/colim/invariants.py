@@ -31,12 +31,13 @@ Printing uses ``factorint``, a splitter on the standard library alone:
 trial division by the primes up to 41, a strong-probable-prime test to
 those 13 bases, which proves primality below ``_PROVEN_BELOW`` (about
 3.3e24; Sorenson and Webster, Math. Comp. 86, 2017), and Brent's rho
-(BIT 20, 1980) within ``_RHO_STEPS`` steps per call.  A part the budget
-does not split, or a probable prime it cannot prove, stays one factor.
-Such a factor is still a product of powers of primes, so equivalence is
-decided over a coprime base rather than by key, and every printed report
-notes it (``SupernaturalNumber.unproven``).  No call runs past the budget,
-whatever the size of its primes.
+(BIT 20, 1980) within ``_RHO_STEPS`` steps per call, a step modulo a
+part longer than 512 bits charged by the square of its size.  A part the
+budget does not split, or a probable prime it cannot prove, stays one
+factor.  Such a factor is still a product of powers of primes, so
+equivalence is decided over a coprime base rather than by key, and every
+printed report notes it (``SupernaturalNumber.unproven``).  No call runs
+past the budget, whatever the size of its parts or of their primes.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def _multipliers(seq: SequenceDiagram) -> list:
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below this bound a strong probable prime to all of _SPRP_BASES is prime
 _PROVEN_BELOW = 3317044064679887385961981
-# the Brent rho steps one ``factorint`` call may spend, over all its retries
+# the Brent rho steps one ``factorint`` call may spend, over all its retries,
+# on parts of up to 512 bits; a step modulo a part of b > 512 bits costs
+# (b / 512)**2 of them, as its multiplication does, so the budget bounds time
 _RHO_STEPS = 1 << 18
 
 
@@ -157,15 +160,17 @@ def _rho(n: int, steps: int) -> tuple:
     or ``None`` when the next round would spend more than ``steps``.
     Brent's rho iterates ``y*y + c`` from 2 in rounds of doubling length,
     with gcds batched over 128 steps.  A ``c`` whose cycles close modulo
-    every prime of ``n`` at once finds ``n`` itself; the next ``c`` retries."""
+    every prime of ``n`` at once finds ``n`` itself; the next ``c`` retries.
+    Each step is charged ``max(1, (bits of n / 512)**2)`` of ``steps``."""
+    cost = max(1.0, (n.bit_length() / 512) ** 2)
     c = 0
     while True:
         c += 1
         y, r, g = 2, 1, 1
         while g == 1:
-            if 2 * r > steps:
+            if 2 * r * cost > steps:
                 return None, steps
-            steps -= 2 * r
+            steps -= 2 * r * cost
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -191,10 +196,10 @@ def factorint(n: int) -> dict:
     """Factor -> exponent of ``n > 0``, with the standard library alone.
 
     The factors are pairwise coprime and prime, except a part that
-    ``_RHO_STEPS`` steps of Brent's rho do not split, or a probable prime at
-    or above ``_PROVEN_BELOW``: such a part stays one factor, which
-    ``_proven_prime`` rejects.  The parts found are refined into a coprime
-    base, so their product is always ``n``.
+    Brent's rho does not split within the ``_RHO_STEPS`` budget, or a
+    probable prime at or above ``_PROVEN_BELOW``: such a part stays one
+    factor, which ``_proven_prime`` rejects.  The parts found are refined
+    into a coprime base, so their product is always ``n``.
     """
     parts = [p for p in _SPRP_BASES if n % p == 0]
     m = n

@@ -2,8 +2,8 @@
 
 Everything here runs over Python's native bignums, so all results are
 exact.  One row-echelon routine does every integer elimination: rank,
-determinant, kernel basis, Smith normal form with unimodular transforms
-and the bounded enumerator for the integer solutions of ``X * K = T``
+kernel basis, Smith normal form with unimodular transforms and the
+bounded enumerator for the integer solutions of ``X * K = T``
 all call it, and it keeps every entry polynomial in the input size.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from typing import Iterator, Sequence
 
 
@@ -144,7 +143,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _echelon(a: list) -> tuple[list, int]:
+def _echelon(a: list) -> list:
     """Bring the list of integer rows ``a`` to Hermite normal form in place.
 
     Rows are taken in one at a time, after Kannan & Bachem (SIAM J.
@@ -169,14 +168,12 @@ def _echelon(a: list) -> tuple[list, int]:
     unimodular ``u`` with ``u * a_before = a_after``, reduced in the
     same way.
 
-    Returns the pivot column of each nonzero row, in order, and the
-    determinant (+1 or -1) of the row transform.
+    Returns the pivot column of each nonzero row, in order.
     """
     cols: list = []  # pivot columns, increasing
     rows: list = []  # the pivot row of each of them
     zeros = []
-    sign = 1
-    for k, v in enumerate(a):
+    for v in a:
         width = len(v)
         j = c = 0
         changed = len(a)  # index of the first pivot row this row changed or became
@@ -191,9 +188,6 @@ def _echelon(a: list) -> tuple[list, int]:
             if j == len(cols) or cols[j] > c:
                 if v[c] < 0:
                     v = [-s for s in v]
-                    sign = -sign
-                if (k - j) % 2:  # the new row moves up past k - j rows
-                    sign = -sign
                 cols.insert(j, c)
                 rows.insert(j, v)
                 if j < changed:
@@ -224,7 +218,7 @@ def _echelon(a: list) -> tuple[list, int]:
                     rows[i] = [t - q * s for s, t in zip(h, above)]
     rows += zeros
     a[:] = rows
-    return cols, sign
+    return cols
 
 
 def _identity_rows(n: int) -> list:
@@ -252,7 +246,7 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     flipped = False
     while True:
         top = block[:rows]
-        pivots, _ = _echelon(top)
+        pivots = _echelon(top)
         block[:rows] = top
         diag = [top[i][c] for i, c in enumerate(pivots) if c < cols]
         if all(c == i and not any(top[i][i + 1 : cols]) for i, c in enumerate(pivots[: len(diag)])):
@@ -276,27 +270,16 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.to_lists())[0])
-
-
-def det(m: Matrix) -> int:
-    """Determinant of a square matrix: the product of the echelon
-    diagonal times the sign of the row transform."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    a = m.to_lists()
-    _, sign = _echelon(a)
-    # a singular echelon form ends in a zero row
-    return sign * math.prod(a[i][i] for i in range(m.rows))
+    return len(_echelon(m.to_lists()))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
     Zero columns exactly when ``m`` is injective.  The columns are the
-    left-kernel basis of ``m^T`` that :func:`_substitute` finds.
+    left-kernel basis of ``m^T`` that :func:`_reduce` finds.
     """
-    _, basis, _ = _substitute(_reduce(m.transpose()), [])
+    basis = _reduce(m.transpose())[2]
     return Matrix.from_columns(basis, rows=m.cols)
 
 
@@ -348,7 +331,7 @@ def _reduce(k: Matrix) -> tuple:
     for i, row in enumerate(k.entries):
         a.append([*row, *tail])
         a[i][width + i] = 1
-    pivots, _ = _echelon(a)
+    pivots = _echelon(a)
     r = bisect.bisect_left(pivots, width)
     return (
         width,
@@ -468,7 +451,7 @@ class MatrixEqSolutions:
     once.  That one elimination serves every target as wide as ``k``,
     in two steps that keep nothing: :meth:`substitute` solves a target
     up to its lattice of solutions, and :meth:`row_streams` walks that
-    lattice through the box.  :meth:`streams` does both.
+    lattice through the box.  Iteration walks the substitution of ``t``.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -506,18 +489,10 @@ class MatrixEqSolutions:
         ``solved`` for, the tuple of its solutions within the bound."""
         return _row_streams(solved, self.entry_bound, self.nonnegative)
 
-    def streams(self, t: Matrix):
-        """The row streams of ``X * k = t`` for a ``t`` as wide as ``k``:
-        for each row of ``t``, the tuple of its solutions within the
-        bound, or ``None`` when the system is inconsistent."""
-        solved = self.substitute(t)
-        return None if solved is None else self.row_streams(solved)
-
     def __iter__(self) -> Iterator[Matrix]:
-        streams = self.streams(self.t)
-        if streams is None:
+        if self._solved is None:
             return
-        for rows in itertools.product(*streams):
+        for rows in itertools.product(*self.row_streams(self._solved)):
             yield Matrix._make(rows, self.k.rows)
 
 

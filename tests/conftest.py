@@ -22,9 +22,9 @@ def random_matrix(rng, rows, cols, bound, nonneg=False):
 
 
 def random_diagram(rng, stages, max_rank=3, bound=3, mode="plain", mono=False):
-    """Random valid diagram; with mono=True transitions are square with
-    nonzero determinant."""
-    from colim.matrices import det
+    """Random valid diagram; with mono=True transitions are square and
+    injective."""
+    from colim.matrices import is_injective
 
     nonneg = mode == "simplicial"
     if mono:
@@ -36,7 +36,7 @@ def random_diagram(rng, stages, max_rank=3, bound=3, mode="plain", mono=False):
     for t in range(stages - 1):
         while True:
             m = random_matrix(rng, ranks[t + 1], ranks[t], bound, nonneg)
-            if not mono or det(m) != 0:
+            if not mono or is_injective(m):
                 break
         transitions.append(m)
     return SequenceDiagram(mode, ranks, transitions, mono, None)

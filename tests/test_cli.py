@@ -318,6 +318,16 @@ class TestInvariants:
             f"note: {n} is not proven prime; printed unsplit",
         ]
 
+    def test_unsplit_2048_bit_period_prints_within_the_timeout(self, tmp_path):
+        # a rank-1 period of two 1,024-bit primes: rho is charged by the
+        # part's size, so the unsplit part costs about what a 512-bit one does
+        p = prevprime(2**1024)
+        n = p * prevprime(p)
+        (path,) = write_diagrams(tmp_path, rank1([n], period=(0, 1)))
+        proc, _ = fresh_interpreter("-m", "colim.cli", "invariants", path, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-2:] == [f"steinitz: {n}^inf", f"note: {n} is not proven prime; printed unsplit"]
+
     def test_single_unsplit_factor_is_noted(self, capsys, tmp_path):
         p, q = prevprime(2**45), prevprime(2**44)
         (path,) = write_diagrams(tmp_path, rank1([12, p * q], period=(1, 1)))

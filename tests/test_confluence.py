@@ -67,13 +67,14 @@ def split_pair(rng, depth, mode="plain", max_rank=3, bound=2):
 
 def reference_search(seqA, seqB, budget):
     """The search's back-and-forth DFS written out plainly, with one
-    uncached ``solve_matrix_eq`` per half-level: returns the certificate
-    (or None) and the number of nodes visited, the one that ran out
-    included."""
+    uncached ``solve_matrix_eq`` per target: returns the certificate (or
+    None), the number of nodes visited, the one that ran out included,
+    and the targets the walk enters before it stops, the set of
+    ``(side, start stage, K, next stage)`` whose system is consistent."""
     seqs = (seqA, seqB)
     constraint = "nonnegative" if seqA.simplicial else "any"
     last = [budget.stage_horizon if s.has_stage(budget.stage_horizon) else s.length for s in seqs]
-    nodes = 0
+    nodes, entered = 0, set()
 
     class OutOfNodes(Exception):
         pass
@@ -90,7 +91,10 @@ def reference_search(seqA, seqB, budget):
         side = len(stages) % 2
         for nxt in range(stages[-2] + 1, last[side] + 1):
             target = transition(seqs[side], stages[-2], nxt)
-            for h in solve_matrix_eq(maps[-1], target, constraint, budget.entry_bound):
+            sols = solve_matrix_eq(maps[-1], target, constraint, budget.entry_bound)
+            if sols.consistent:
+                entered.add((side, stages[-2], maps[-1], nxt))
+            for h in sols:
                 visit()
                 found = extend(stages + [nxt], maps + [h])
                 if found is not None:
@@ -105,10 +109,10 @@ def reference_search(seqA, seqB, budget):
                     visit()
                     found = extend([i1, k1], [f1])
                     if found is not None:
-                        return found, nodes
+                        return found, nodes, entered
     except OutOfNodes:
         pass
-    return None, nodes
+    return None, nodes, entered
 
 
 class TestVerify:
@@ -221,48 +225,6 @@ class TestRoundtrip:
         assert report.ok, report.failures
 
 
-def entered_targets(seqA, seqB, budget):
-    """The targets the search's depth-first walk enters before it stops,
-    found by a plain walk with one uncached ``solve_matrix_eq`` per
-    target: the set of ``(side, start stage, K, next stage)`` whose
-    system is consistent, reached before a certificate or the node
-    limit ends the walk."""
-    seqs = (seqA, seqB)
-    constraint = "nonnegative" if seqA.simplicial else "any"
-    last = [budget.stage_horizon if s.has_stage(budget.stage_horizon) else s.length for s in seqs]
-    entered, nodes = set(), [0]
-
-    class Stop(Exception):
-        pass
-
-    def visit():
-        nodes[0] += 1
-        if nodes[0] > budget.node_limit:
-            raise Stop
-
-    def extend(stages, maps):
-        if len(maps) == 2 * budget.depth - 1:
-            raise Stop
-        side = len(stages) % 2
-        for nxt in range(stages[-2] + 1, last[side] + 1):
-            sols = solve_matrix_eq(maps[-1], transition(seqs[side], stages[-2], nxt), constraint, budget.entry_bound)
-            if sols.consistent:
-                entered.add((side, stages[-2], maps[-1], nxt))
-            for h in sols:
-                visit()
-                extend(stages + [nxt], maps + [h])
-
-    try:
-        for i1 in range(1, last[0] + 1):
-            for k1 in range(1, last[1] + 1):
-                for f1 in iter_matrices(seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial):
-                    visit()
-                    extend([i1, k1], [f1])
-    except Stop:
-        pass
-    return entered
-
-
 class TestSearch:
     def test_finds_x2_x4(self):
         cert = search_confluence(X2, X4, SearchBudget(3, 8, 12, 200000))
@@ -365,7 +327,7 @@ class TestSearch:
             budget = SearchBudget(rng.randint(2, 3), rng.randint(1, 3), stages, rng.choice([100, 600]))
             nodes.clear()
             cert = search_confluence(seqA, seqB, budget)
-            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)[:2]
             found += cert is not None
             out_of_nodes += len(nodes) > budget.node_limit
         assert found >= 20 and out_of_nodes >= 10
@@ -378,7 +340,7 @@ class TestSearch:
             budget = SearchBudget(3, 3, stages, 100)
             nodes.clear()
             cert = search_confluence(seqA, seqB, budget)
-            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+            assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)[:2]
             found += cert is not None
             out_of_nodes += len(nodes) > budget.node_limit
         assert found >= 5 and out_of_nodes >= 40
@@ -414,7 +376,7 @@ class TestSearch:
             search_confluence(seqA, seqB, budget)
             got, total_built, total_substituted = Counter(built), total_built + len(built), total_substituted + len(substituted)
             seqs = (seqA, seqB)
-            entered = entered_targets(seqA, seqB, budget)
+            _, _, entered = reference_search(seqA, seqB, budget)
             assert got == Counter((k, transition(seqs[side], start, nxt)) for side, start, k, nxt in entered)
         assert total_built >= 300 and 2 * total_built < total_substituted
 
@@ -436,7 +398,7 @@ class TestSearch:
         budget = SearchBudget(3, 8, 12, 200000)
         cert = search_confluence(seqA, seqB, budget)
         assert cert is None
-        assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)
+        assert (cert, len(nodes)) == reference_search(seqA, seqB, budget)[:2]
 
     def test_consistent_targets_are_upward_closed(self, rng):
         # h * K = transition(s, j) solvable implies

@@ -369,6 +369,32 @@ class TestFactorint:
         assert self.check(p * q) == {p * q: 1}
         assert self.check(12 * p * q) == {2: 2, 3: 1, p * q: 1}
 
+    def test_long_part_is_charged_by_its_size(self, monkeypatch):
+        # a 2,048-bit product of two 1,024-bit primes: each rho step modulo
+        # it is charged (2048 / 512)**2 = 16 steps of the budget, so rho
+        # gives up after _RHO_STEPS / 16 steps, which its gcd batches of at
+        # most 128 steps each bound from outside the charge
+        p = prevprime(2**1024)
+        n = p * prevprime(p)
+        assert n.bit_length() == 2048
+        rho, gcd, calls, batches = invariants._rho, math.gcd, [], []
+
+        def counted_gcd(*args):
+            batches.append(args)
+            return gcd(*args)
+
+        def recorded_rho(m, steps):
+            with monkeypatch.context() as inner:
+                inner.setattr(math, "gcd", counted_gcd)
+                d, left = rho(m, steps)
+            calls.append((m, d))
+            return d, left
+
+        monkeypatch.setattr(invariants, "_rho", recorded_rho)
+        assert invariants.factorint(n) == {n: 1}
+        assert calls == [(n, None)]
+        assert 0 < 128 * len(batches) <= invariants._RHO_STEPS // 16
+
     def test_probable_prime_above_the_proven_bound_is_unproven(self):
         m89 = 2**89 - 1
         assert invariants.factorint(m89) == {m89: 1}
