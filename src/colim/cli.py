@@ -5,7 +5,8 @@ assert on exact output.  Exit codes are a total function of the report:
 
 * 0 - success (clean / accepted / found / answered)
 * 1 - negative domain outcome (validation violations, rejected certificate)
-* 2 - operational error (unknown flag, missing file, parse failure)
+* 2 - operational error (unknown flag, missing file, parse failure,
+  standard output closed by its reader)
 * 3 - search budget exhausted
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -297,9 +299,16 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
     except (CliError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to devnull, so
+        # the interpreter's flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

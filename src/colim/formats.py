@@ -9,6 +9,7 @@ so a document either yields a clean diagram or a structured error.
 from __future__ import annotations
 
 import json
+import re
 
 from .colimit import ColimitElement
 from .confluence import CertificatePeriod, ConfluenceCertificate
@@ -24,12 +25,24 @@ class _FloatLiteral(str):
     """Marker for rejected float literals, so errors can carry the path."""
 
 
-def _loads(text: str) -> object:
-    """The JSON value of ``text``.  Syntax errors, nesting too deep for
-    the decoder and integers past the interpreter's digit limit for
-    ``int`` conversion are all format errors."""
+# one decoder for the process: ``json.loads`` with a ``parse_float`` builds
+# a fresh decoder and scanner on every call
+_DECODER = json.JSONDecoder(parse_float=_FloatLiteral)
+
+
+def _loads(text: str | bytes) -> object:
+    """The JSON value of ``text``, read as ``json.loads`` reads it: bytes
+    are decoded by their detected encoding, and text that starts with a
+    byte order mark is refused.  Syntax errors, nesting too deep for the
+    decoder and integers past the interpreter's digit limit for ``int``
+    conversion are all format errors."""
     try:
-        return json.loads(text, parse_float=_FloatLiteral)
+        if isinstance(text, str):
+            if text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        else:
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"not a well-formed document: {exc}") from None
 
@@ -58,7 +71,7 @@ def _ints(value: object, path: str) -> list:
     """``value`` as a list of integers; as in :func:`_matrix`, entry
     paths are built only for a faulty list."""
     items = _expect_list(value, path)
-    if not all(type(x) is int for x in items):
+    if not all([type(x) is int for x in items]):
         for n, x in enumerate(items):
             _expect_int(x, f"{path}[{n}]")
     return items
@@ -70,7 +83,10 @@ def _matrix(value: object, path: str, empty_width: int = 0) -> Matrix:
     without rows is written ``[]`` and takes the width ``empty_width``."""
     rows = _expect_list(value, path)
     width = len(rows[0]) if rows and type(rows[0]) is list else empty_width
-    if not all(type(row) is list and len(row) == width and all(type(x) is int for x in row) for row in rows):
+    if not (
+        all([type(row) is list and len(row) == width for row in rows])
+        and all([type(x) is int for row in rows for x in row])
+    ):
         for r, row in enumerate(rows):
             _expect_list(row, f"{path}[{r}]")
             if len(row) != width:
@@ -159,15 +175,26 @@ def emit_certificate(cert: ConfluenceCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# a decimal literal as ``int`` reads it, without digit separators or
+# non-ASCII digits
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _decimal(part: str) -> int:
+    if not _DECIMAL.fullmatch(part):
+        raise ValueError(part)
+    return int(part)
+
+
 def parse_element(text: str) -> ColimitElement:
     """Parse ``"i:x1,x2,..."``; an empty coordinate list is allowed for
-    rank-0 stages (``"i:"``)."""
+    rank-0 stages (``"i:"``).  Each part is an ASCII decimal literal."""
     stage_part, sep, vec_part = text.partition(":")
     if not sep:
         raise FormatError(f"element {text!r} is not of the form 'stage:x1,x2,...'")
     try:
-        stage = int(stage_part)
-        vec = [int(x) for x in vec_part.split(",")] if vec_part.strip() else []
+        stage = _decimal(stage_part)
+        vec = [_decimal(x) for x in vec_part.split(",")] if vec_part.strip() else []
     except ValueError:
         raise FormatError(f"element {text!r} has non-integer parts") from None
     if stage < 1:

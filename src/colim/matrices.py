@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -69,6 +70,9 @@ class Matrix:
         n = len(columns[0])
         if rows is not None and rows != n:
             raise ValueError("column length disagrees with declared row count")
+        for j, col in enumerate(columns):
+            if len(col) != n:
+                raise ValueError(f"column {j} has length {len(col)}, expected {n}")
         return Matrix([[col[i] for col in columns] for i in range(n)], cols=len(columns))
 
     # -- basic queries ------------------------------------------------
@@ -117,14 +121,14 @@ class Matrix:
         if not other.rows:  # zip(*()) yields no columns at all
             return Matrix.zero(self.rows, other.cols)
         ocols = tuple(zip(*other.entries))
-        products = (tuple(sum(a * b for a, b in zip(row, ocol)) for ocol in ocols) for row in self.entries)
+        products = [tuple([sum(map(mul, row, ocol)) for ocol in ocols]) for row in self.entries]
         return Matrix._make(tuple(products), other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Apply to a column vector, returning ``M @ vec`` as a tuple."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)}, expected {self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return tuple([sum(map(mul, row, vec)) for row in self.entries])
 
 
 # ---------------------------------------------------------------------

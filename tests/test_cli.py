@@ -492,3 +492,59 @@ class TestRepeatedMain:
         code, out, _ = run(capsys, "search", X2, X4, "--depth", "3")
         assert code == 0
         assert "status: found" in out
+
+
+# Runs ``colim.cli.main`` on the arguments with stdout flushed line by line
+# up to its second line, then held until stdin reaches end of file, so that
+# what the command writes next is buffered for a pipe whose reader is gone.
+HOLD_AFTER_TWO_LINES = """
+import sys
+from colim.cli import main
+
+
+class Held:
+    def __init__(self, out):
+        self.out, self.lines = out, 0
+
+    def write(self, text):
+        if self.lines >= 2:
+            sys.stdin.read()
+            return self.out.write(text)
+        self.lines += text.count("\\n")
+        n = self.out.write(text)
+        self.out.flush()
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.out, name)
+
+
+sys.stdout = Held(sys.stdout)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestClosedStdout:
+    """A reader that stops early is not an internal fault: the command
+    ends with exit 2, no traceback and nothing on stderr."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, head", [
+        (("search", FIB, FIB), [b"status: found\n", b"depth: 3\n"]),
+        (("invariants", X2, X3), [b"A.rank: 1\n", b"A.rank_stabilized: true\n"]),
+    ])
+    def test_reader_closes_after_two_lines(self, argv, head, buffered):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-c", HOLD_AFTER_TWO_LINES, *argv], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert [proc.stdout.readline() for _ in head] == head
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)  # closes stdin, which lets the command go on
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (2, b"")

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -8,6 +9,10 @@ from colim.confluence import BACKWARD, FORWARD, CertificatePeriod, ConfluenceCer
 from colim.diagrams import SequenceDiagram, validate
 from colim.formats import (
     FormatError,
+    _FloatLiteral,
+    _ints,
+    _loads,
+    _matrix,
     emit_certificate,
     emit_diagram,
     format_element,
@@ -204,3 +209,154 @@ class TestElements:
             parse_element("nope")
         with pytest.raises(FormatError):
             parse_element("1:2.5")
+
+    @pytest.mark.parametrize("text, stage, vec", [
+        ("2:1,-3", 2, [1, -3]),
+        ("1:", 1, []),
+        ("1: ", 1, []),
+        ("+1:+1", 1, [1]),
+        (" 3 : 4 , -5 ", 3, [4, -5]),
+        ("007:010", 7, [10]),
+        ("1:" + "9" * 50, 1, [int("9" * 50)]),
+    ])
+    def test_decimal_literals(self, text, stage, vec):
+        assert parse_element(text) == ColimitElement(stage, vec)
+
+    @pytest.mark.parametrize("text", [
+        "1:1_0", "1_0:1", "1:\u0663", "\u0661:1", "1:\uff11", "1:1,\u00b2",
+        "1:0x10", "1:1e3", "1:--1", "1:1,,2", "1:1 2", ":1",
+    ])
+    def test_anything_else_has_non_integer_parts(self, text):
+        with pytest.raises(FormatError) as exc:
+            parse_element(text)
+        assert str(exc.value) == f"element {text!r} has non-integer parts"
+
+
+def json_loads(text):
+    """What ``_loads`` must give: the value or error of ``json.loads``."""
+    try:
+        return json.loads(text, parse_float=_FloatLiteral)
+    except (ValueError, RecursionError) as exc:
+        return FormatError(f"not a well-formed document: {exc}")
+
+
+def json_walk(value):
+    """Every value inside a decoded document, in order."""
+    yield value
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from json_walk(item)
+
+
+class TestLoadsIsJsonLoads:
+    """``_loads`` keeps one decoder for the process and ``json.loads``'s
+    front end, so it returns the same value or the same error text."""
+
+    @pytest.mark.parametrize("text", [
+        '{"mode": "plain", "ranks": [1, 1], "transitions": [[[2]]]}',
+        '{"f_mats": [[[1, -2], [3, 4]]], "x": 2.5, "y": [1e3, -0.0], "z": null}',
+        "[]", "  7  ", '"\\u00e9"', "\n[1,\t2]\r\n",
+        "\ufeff{}", "\ufeff", "{not json", "", "[1,]", '{"a": 1} x', "[1, 2",
+        "[" * 100_000 + "]" * 100_000, "[" + "7" * 5000 + "]", "-" + "1" * 4300,
+        '{"a": 1}'.encode(), '{"a": [1, 2.5]}'.encode("utf-16"), '{"a": 1}'.encode("utf-32-le"),
+        "\ufeff[1]".encode(), b"\xef\xbb\xbf\xef\xbb\xbf[1]", b"[1, \xff]", b"",
+    ], ids=lambda text: repr(text[:12]))
+    def test_same_value_or_error(self, text):
+        want = json_loads(text)
+        try:
+            got = _loads(text)
+        except FormatError as exc:
+            got = exc
+        if isinstance(want, FormatError):
+            assert type(got) is FormatError and str(got) == str(want)
+        else:
+            assert got == want
+            assert [type(x) for x in json_walk(got)] == [type(x) for x in json_walk(want)]
+
+
+def entry_walk(value, path, empty_width=0):
+    """The first fault of a matrix document as the entry walk names it,
+    or its rows when it has none; shares no code with ``_matrix``."""
+    if not isinstance(value, list):
+        return f"expected an array at {path}"
+    width = len(value[0]) if value and isinstance(value[0], list) else empty_width
+    for r, row in enumerate(value):
+        if not isinstance(row, list):
+            return f"expected an array at {path}[{r}]"
+        if len(row) != width:
+            return f"ragged matrix rows at {path}[{r}]"
+        for c, x in enumerate(row):
+            if isinstance(x, _FloatLiteral):
+                return f"non-integer entry at {path}[{r}][{c}]"
+            if isinstance(x, bool) or not isinstance(x, int):
+                return f"expected an integer at {path}[{r}][{c}]"
+    return value
+
+
+FAULTS = [True, False, 2.5, 1e30, "7", None, [1], [], {"a": 1}]
+
+
+def seeded_matrix_documents(rng, count):
+    """JSON texts of matrices, about half of them faulty: a ragged row, a
+    row that is not a list, or an entry that is a bool, a float, a string,
+    ``null``, a list or an object."""
+    for _ in range(count):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        doc = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if not doc:
+                doc = rng.choice([5, "x", None, {}])
+                break
+            r = rng.randrange(len(doc))
+            if not isinstance(doc[r], list):
+                continue
+            kind = rng.random()
+            if kind < 0.25:
+                doc[r] = doc[r][1:] if doc[r] and rng.random() < 0.5 else doc[r] + [1]
+            elif kind < 0.35:
+                doc[r] = rng.choice([5, "row", None, {"r": 1}, 2.5])
+            elif doc[r]:
+                doc[r][rng.randrange(len(doc[r]))] = rng.choice(FAULTS)
+        yield json.dumps(doc)
+
+
+class TestBulkChecksMatchTheEntryWalk:
+    """``_matrix`` and ``_ints`` test a document in bulk and walk it only
+    when it is faulty; they accept what the entry walk accepts and name
+    the fault it names first."""
+
+    def test_matrices(self):
+        rng = random.Random(16)
+        faulty = 0
+        for text in seeded_matrix_documents(rng, 3000):
+            value = _loads(text)
+            want = entry_walk(value, "m", 2)
+            try:
+                got = _matrix(value, "m", 2)
+            except FormatError as exc:
+                assert str(exc) == want, text
+                faulty += 1
+            else:
+                assert not isinstance(want, str), text
+                assert got.to_lists() == want and (got.rows, got.cols) == (len(want), len(want[0]) if want else 2)
+        assert 1000 < faulty < 2000
+
+    def test_integer_lists(self):
+        rng = random.Random(61)
+        faulty = 0
+        for _ in range(2000):
+            items = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            if items and rng.random() < 0.5:
+                items[rng.randrange(len(items))] = rng.choice(FAULTS)
+            value = _loads(json.dumps(items))
+            want = entry_walk([value], "ints")
+            try:
+                got = _ints(value, "ints")
+            except FormatError as exc:
+                assert str(exc) == want.replace("ints[0]", "ints"), items
+                faulty += 1
+            else:
+                assert not isinstance(want, str) and got == items
+        assert 500 < faulty < 1500

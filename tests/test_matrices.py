@@ -576,3 +576,56 @@ def test_product_with_zero_inner_dimension():
     assert Matrix.zero(3, 0) * Matrix.zero(0, 2) == Matrix.zero(3, 2)
     assert Matrix.zero(0, 2) * Matrix.zero(2, 4) == Matrix.zero(0, 4)
     assert Matrix.zero(2, 0) * Matrix.zero(0, 0) == Matrix.zero(2, 0)
+
+
+def triple_loop_product(a, b):
+    """``a * b`` as lists, entry by entry: the textbook triple loop."""
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.entries[i][k] * b.entries[k][j]
+    return out
+
+
+BIG = 2**70
+
+
+class TestProductMatchesTripleLoop:
+    """``*`` and ``apply`` on every shape from 0x0x0 to 4x4x4, entries up to
+    +-2**70, so zero rows, zero columns and a zero inner dimension all occur."""
+
+    @pytest.mark.parametrize("r, k, c", list(itertools.product(range(5), repeat=3)))
+    def test_product(self, r, k, c):
+        rng = random.Random(f"mul {r} {k} {c}")
+        for bound in (1, 9, BIG):
+            a, b = random_matrix(rng, r, k, bound), random_matrix(rng, k, c, bound)
+            got = a * b
+            assert (got.rows, got.cols) == (r, c)
+            assert got.to_lists() == triple_loop_product(a, b)
+            assert all(type(x) is int for row in got.entries for x in row)
+
+    @pytest.mark.parametrize("r, k", list(itertools.product(range(5), repeat=2)))
+    def test_apply(self, r, k):
+        rng = random.Random(f"apply {r} {k}")
+        for bound in (1, 9, BIG):
+            a = random_matrix(rng, r, k, bound)
+            vec = [rng.randint(-bound, bound) for _ in range(k)]
+            want = tuple(row[0] for row in triple_loop_product(a, Matrix([[x] for x in vec], cols=1)))
+            assert a.apply(vec) == a.apply(tuple(vec)) == want
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize("columns, message", [
+        ([[1], [2, 3]], "column 1 has length 2, expected 1"),
+        ([[1, 2], [3]], "column 1 has length 1, expected 2"),
+        ([[1, 2], [3, 4], []], "column 2 has length 0, expected 2"),
+    ])
+    def test_ragged_columns_are_refused(self, columns, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Matrix.from_columns(columns)
+
+    def test_declared_row_count(self):
+        assert Matrix.from_columns([], rows=2) == Matrix.zero(2, 0)
+        with pytest.raises(ValueError, match="declared row count"):
+            Matrix.from_columns([[1, 2]], rows=3)
