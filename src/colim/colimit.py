@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagrams import SequenceDiagram, transition
-from .matrices import Matrix
+from .matrices import Matrix, _integers
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,9 @@ class ColimitElement:
     vec: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vec", tuple(int(x) for x in self.vec))
+        object.__setattr__(self, "vec", _integers("vec", self.vec))
+        if type(self.stage) is not int:  # built for every element: no call when it is
+            _integers("stage", (self.stage,))
         if self.stage < 1:
             raise ValueError("stages are 1-based")
 

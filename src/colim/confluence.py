@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, transition, validate
-from .matrices import Matrix, iter_matrices, solve_matrix_eq
+from .matrices import Matrix, _integers, iter_matrices, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -42,6 +42,10 @@ class CertificatePeriod:
     index_step_b: int
     period_len: int
 
+    def __post_init__(self):
+        for name in ("index_step_a", "index_step_b", "period_len"):
+            _integers(name, (getattr(self, name),))
+
 
 @dataclass(frozen=True)
 class ConfluenceCertificate:
@@ -52,8 +56,8 @@ class ConfluenceCertificate:
     periodic: Optional[CertificatePeriod] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "i_indices", tuple(int(i) for i in self.i_indices))
-        object.__setattr__(self, "k_indices", tuple(int(k) for k in self.k_indices))
+        object.__setattr__(self, "i_indices", _integers("i_indices", self.i_indices))
+        object.__setattr__(self, "k_indices", _integers("k_indices", self.k_indices))
         object.__setattr__(self, "f_mats", tuple(self.f_mats))
         object.__setattr__(self, "g_mats", tuple(self.g_mats))
         # One private view of the chain A_{i_1} -> B_{k_1} -> A_{i_2} -> ...,
@@ -273,7 +277,9 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("depth", "entry_bound", "stage_horizon", "node_limit"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            _integers(f"budget field {name}", (value,))
+            if value <= 0:
                 raise ValueError(f"budget field {name} must be positive")
         if self.depth < 2:
             raise ValueError("certificates need depth >= 2")

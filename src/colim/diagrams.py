@@ -12,10 +12,11 @@ the period covers is available without building a longer copy.
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matrices import Matrix, is_injective
+from .matrices import Matrix, _integers, is_injective
 
 PLAIN = "plain"
 SIMPLICIAL = "simplicial"
@@ -37,18 +38,20 @@ class SequenceDiagram:
 
     def __post_init__(self):
         if self.mode not in (PLAIN, SIMPLICIAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+            raise ValueError(f'mode must be "plain" or "simplicial", got {reprlib.repr(self.mode)}')
+        object.__setattr__(self, "ranks", _integers("ranks", self.ranks))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         if not self.ranks:
             raise ValueError("a diagram needs at least one stage")
         if any(r < 0 for r in self.ranks):
             raise ValueError("ranks must be >= 0")
+        if type(self.mono_required) is not bool:
+            raise ValueError(f"mono_required must be a bool, got {reprlib.repr(self.mono_required)}")
         if self.period is not None:
-            prefix, length = self.period
+            prefix, length = period = _integers("period", self.period)
             if prefix < 0 or length < 1:
                 raise ValueError("period must be (prefix >= 0, length >= 1)")
-            object.__setattr__(self, "period", (int(prefix), int(length)))
+            object.__setattr__(self, "period", period)
 
     @property
     def length(self) -> int:

@@ -1,7 +1,8 @@
 """Textual formats for diagrams, certificates, and elements.
 
 Documents are UTF-8 JSON objects with string keys and integer/array
-values.  Entries must be decimal integer literals; floats are rejected
+values.  Entries must be decimal integer literals: a float literal, or
+the constant ``NaN`` or ``Infinity``, is a non-integer entry, rejected
 with the offending field path.  Parsing a diagram also runs validation,
 so a document either yields a clean diagram or a structured error.
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
+import sys
 
 from .colimit import ColimitElement
 from .confluence import CertificatePeriod, ConfluenceCertificate
@@ -21,37 +24,20 @@ class FormatError(ValueError):
     """Malformed document; the message carries the offending field path."""
 
 
-class _FloatLiteral(str):
-    """Marker for rejected float literals, so errors can carry the path."""
-
-
-# one decoder for the process: ``json.loads`` with a ``parse_float`` builds
-# a fresh decoder and scanner on every call
-_DECODER = json.JSONDecoder(parse_float=_FloatLiteral)
-
-
 def _loads(text: str | bytes) -> object:
-    """The JSON value of ``text``, read as ``json.loads`` reads it: bytes
-    are decoded by their detected encoding, and text that starts with a
-    byte order mark is refused.  Syntax errors, nesting too deep for the
-    decoder and integers past the interpreter's digit limit for ``int``
-    conversion are all format errors."""
+    """The JSON value of ``text``.  Syntax errors, nesting too deep for
+    the decoder and integers past the interpreter's digit limit for
+    ``int`` conversion are all format errors."""
     try:
-        if isinstance(text, str):
-            if text.startswith("\ufeff"):
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        else:
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
-        return _DECODER.decode(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"not a well-formed document: {exc}") from None
 
 
 def _expect_int(value: object, path: str) -> int:
-    if isinstance(value, _FloatLiteral):
-        raise FormatError(f"non-integer entry at {path}")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"expected an integer at {path}")
+    if type(value) is not int:
+        kind = "non-integer entry" if type(value) is float else "expected an integer"
+        raise FormatError(f"{kind} at {path}")
     return value
 
 
@@ -88,25 +74,15 @@ def _matrix(value: object, path: str, empty_width: int = 0) -> Matrix:
         and all([type(x) is int for row in rows for x in row])
     ):
         for r, row in enumerate(rows):
-            _expect_list(row, f"{path}[{r}]")
-            if len(row) != width:
+            if len(_expect_list(row, f"{path}[{r}]")) != width:
                 raise FormatError(f"ragged matrix rows at {path}[{r}]")
-            for c, x in enumerate(row):
-                _expect_int(x, f"{path}[{r}][{c}]")
+            _ints(row, f"{path}[{r}]")
     return Matrix._make(tuple(map(tuple, rows)), width)
 
 
 def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
     doc = _expect_obj(_loads(text), "document")
-    mode = doc.get("mode")
-    if mode not in ("plain", "simplicial"):
-        raise FormatError('mode must be "plain" or "simplicial"')
-    mono = doc.get("mono", False)
-    if not isinstance(mono, bool):
-        raise FormatError("mono must be a boolean")
     ranks = _ints(doc.get("ranks"), "ranks")
-    if not ranks:
-        raise FormatError("ranks must be nonempty")
     # transition n leaves stage n + 1, so a row-less one is ranks[n] wide
     transitions = [
         _matrix(m, f"transitions[{n}]", ranks[n] if n < len(ranks) else 0)
@@ -120,7 +96,7 @@ def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
             _expect_int(obj.get("period_len"), "period.period_len"),
         )
     try:
-        seq = SequenceDiagram(mode, ranks, transitions, mono, period)
+        seq = SequenceDiagram(doc.get("mode"), ranks, transitions, doc.get("mono", False), period)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     if check:
@@ -176,27 +152,26 @@ def emit_certificate(cert: ConfluenceCertificate) -> str:
 
 
 # a decimal literal as ``int`` reads it, without digit separators or
-# non-ASCII digits
-_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
-def _decimal(part: str) -> int:
-    if not _DECIMAL.fullmatch(part):
-        raise ValueError(part)
-    return int(part)
+# non-ASCII digits; group 1 holds the digits ``int`` counts against its limit
+_DECIMAL = re.compile(r"\s*[+-]?([0-9]+)\s*")
 
 
 def parse_element(text: str) -> ColimitElement:
     """Parse ``"i:x1,x2,..."``; an empty coordinate list is allowed for
-    rank-0 stages (``"i:"``).  Each part is an ASCII decimal literal."""
+    rank-0 stages (``"i:"``).  Each part is an ASCII decimal literal
+    within the interpreter's digit limit for ``int`` conversion.  Errors
+    quote ``text`` shortened to 30 characters."""
     stage_part, sep, vec_part = text.partition(":")
     if not sep:
-        raise FormatError(f"element {text!r} is not of the form 'stage:x1,x2,...'")
-    try:
-        stage = _decimal(stage_part)
-        vec = [_decimal(x) for x in vec_part.split(",")] if vec_part.strip() else []
-    except ValueError:
-        raise FormatError(f"element {text!r} has non-integer parts") from None
+        raise FormatError(f"element {reprlib.repr(text)} is not of the form 'stage:x1,x2,...'")
+    parts = [stage_part, *vec_part.split(",")] if vec_part.strip() else [stage_part]
+    literals = [_DECIMAL.fullmatch(part) for part in parts]
+    if not all(literals):
+        raise FormatError(f"element {reprlib.repr(text)} has non-integer parts")
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(m[1]) for m in literals) > limit:
+        raise FormatError(f"element {reprlib.repr(text)} has a part past the {limit}-digit limit")
+    stage, *vec = map(int, parts)
     if stage < 1:
         raise FormatError("element stages are 1-based")
     return ColimitElement(stage, vec)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import reprlib
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -129,6 +130,16 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)}, expected {self.cols}")
         return tuple([sum(map(mul, row, vec)) for row in self.entries])
+
+
+def _integers(name: str, values) -> tuple:
+    """The iterable ``values`` as a tuple, each an ``int`` and not a
+    ``bool``; anything else is a ``ValueError`` that names the field ``name``."""
+    values = tuple(values)
+    if not all([type(x) is int for x in values]):
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{name} takes integers only, got {reprlib.repr(bad)}")
+    return values
 
 
 # ---------------------------------------------------------------------

@@ -150,6 +150,63 @@ class TestMalformedDocuments:
         assert (code, out) == (2, [])
         assert err.startswith(f"error: {path}: not a well-formed document") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"mode": "weird", "ranks": [1]}', """mode must be "plain" or "simplicial", got 'weird'"""),
+        ('{"ranks": [1]}', 'mode must be "plain" or "simplicial", got None'),
+        ('{"mode": "plain", "ranks": []}', "a diagram needs at least one stage"),
+        ('{"mode": "plain", "ranks": [1], "mono": "yes"}', "mono_required must be a bool, got 'yes'"),
+    ])
+    def test_diagram_constructor_text(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.diag"
+        path.write_text(doc)
+        assert run(capsys, "validate", str(path)) == (2, [], f"error: {path}: {message}\n")
+
+
+# every command, with its first diagram at ``{A}`` and its element (if it
+# takes one) at ``{E}``
+COMMANDS = {
+    "validate": ["{A}"],
+    "verify": ["{A}", X4, X2_X4],
+    "search": ["{A}", X4],
+    "map": ["{A}", X4, X2_X4, "--element", "{E}"],
+    "equal": ["{A}", "--e1", "{E}", "--e2", "1:1"],
+    "cone": ["{A}", "--element", "{E}"],
+    "divisible": ["{A}", "--element", "{E}", "--m", "2"],
+    "invariants": ["{A}", X4],
+}
+BAD_DIAGRAMS = {
+    "missing file": None,
+    "malformed JSON": "{not json",
+    "float entry": '{"mode": "plain", "ranks": [1, 1], "transitions": [[[2.5]]]}',
+    "bad mode": '{"mode": "weird", "ranks": [1, 1], "transitions": [[[2]]]}',
+}
+
+
+class TestErrorsAcrossCommands:
+    """A user error ends any command with exit 2 and one short line on
+    stderr, and prints nothing on stdout."""
+
+    def run_bad(self, capsys, command, a=X2, e="1:1"):
+        argv = [arg.format(A=a, E=e) for arg in COMMANDS[command]]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, [])
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fault", BAD_DIAGRAMS)
+    def test_bad_diagram(self, capsys, tmp_path, monkeypatch, command, fault):
+        monkeypatch.chdir(tmp_path)
+        if BAD_DIAGRAMS[fault] is not None:
+            Path("a.diag").write_text(BAD_DIAGRAMS[fault])
+        assert "a.diag" in self.run_bad(capsys, command, a="a.diag")
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if "{E}" in COMMANDS[c]])
+    def test_long_coordinate(self, capsys, command):
+        err = self.run_bad(capsys, command, e="1:" + "9" * 5000)
+        assert err.endswith(f"has a part past the {sys.get_int_max_str_digits()}-digit limit\n")
+
 
 class TestSearch:
     def test_finds_and_emits(self, capsys, tmp_path):

@@ -620,3 +620,63 @@ class TestReportText:
         with pytest.raises(ValueError) as exc:
             induced_map(X2, X4, X2_X4_CERT, direction, element)
         assert str(exc.value) == message
+
+
+# each value type with arguments it accepts, and the fields that must be
+# integers: a sequence field is faulted in its last entry
+VALUE_TYPES = [
+    (ColimitElement, {"stage": 1, "vec": [1, 2]}, [("stage", False), ("vec", True)]),
+    (SequenceDiagram,
+     {"mode": "plain", "ranks": [1, 1], "transitions": [Matrix([[2]])], "period": (0, 1)},
+     [("ranks", True), ("period", True)]),
+    (ConfluenceCertificate,
+     {"i_indices": [1, 3], "k_indices": [1, 2], "f_mats": scalars(1, 1), "g_mats": scalars(4)},
+     [("i_indices", True), ("k_indices", True)]),
+    (CertificatePeriod, {"index_step_a": 2, "index_step_b": 1, "period_len": 1},
+     [("index_step_a", False), ("index_step_b", False), ("period_len", False)]),
+    (SearchBudget, {"depth": 3, "entry_bound": 4, "stage_horizon": 12, "node_limit": 100},
+     [(f"budget field {name}", False) for name in ("depth", "entry_bound", "stage_horizon", "node_limit")]),
+]
+
+
+class TestValueTypesTakeIntegersOnly:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True])
+    @pytest.mark.parametrize("make, good, name, sequence", [
+        (make, good, name, sequence) for make, good, fields in VALUE_TYPES for name, sequence in fields
+    ])
+    def test_non_integer_field_named(self, make, good, name, sequence, bad):
+        field = name.removeprefix("budget field ")
+        make(**good)
+        kwargs = dict(good, **{field: [*good[field][:-1], bad] if sequence else bad})
+        with pytest.raises(ValueError) as exc:
+            make(**kwargs)
+        assert str(exc.value) == f"{name} takes integers only, got {bad!r}"
+
+    @pytest.mark.parametrize("mono", ["no", 1, 0, None])
+    def test_mono_required_is_a_bool(self, mono):
+        with pytest.raises(ValueError) as exc:
+            SequenceDiagram("plain", [1], [], mono)
+        assert str(exc.value) == f"mono_required must be a bool, got {mono!r}"
+
+    def test_integers_kept_as_given(self):
+        assert ColimitElement(2, range(3)).vec == (0, 1, 2)
+        seq = SequenceDiagram("plain", [1, 1], [Matrix([[2]])], True, [0, 1])
+        assert seq.ranks == (1, 1) and seq.period == (0, 1)
+        assert ConfluenceCertificate(range(1, 3), (1, 2), scalars(1, 1), scalars(4)).i_indices == (1, 2)
+
+    def test_long_values_quoted_short(self):
+        with pytest.raises(ValueError) as exc:
+            ColimitElement(1, ["9" * 5000])
+        assert len(str(exc.value)) < 80
+        with pytest.raises(ValueError) as exc:
+            SequenceDiagram("x" * 5000, [1], [])
+        assert str(exc.value).startswith('mode must be "plain" or "simplicial", got ') and len(str(exc.value)) < 80
+
+    def test_fractional_period_or_budget_no_longer_crashes(self):
+        # these once reached the verifier and the search as floats
+        with pytest.raises(ValueError, match="period_len takes integers only"):
+            CertificatePeriod(2, 1, 1.5)
+        with pytest.raises(ValueError, match="stage_horizon takes integers only"):
+            search_confluence(X2, X4, SearchBudget(3, 4, 12.5, 100))
+        with pytest.raises(ValueError, match="depth takes integers only"):
+            SearchBudget(2.5, 4, 12, 1000)

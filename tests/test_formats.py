@@ -9,7 +9,6 @@ from colim.confluence import BACKWARD, FORWARD, CertificatePeriod, ConfluenceCer
 from colim.diagrams import SequenceDiagram, validate
 from colim.formats import (
     FormatError,
-    _FloatLiteral,
     _ints,
     _loads,
     _matrix,
@@ -59,6 +58,12 @@ class TestParseDiagram:
         ("2.5", "non-integer entry"),
         ("true", "expected an integer"),
         ('"7"', "expected an integer"),
+        ("NaN", "non-integer entry"),
+        ("Infinity", "non-integer entry"),
+        ("-Infinity", "non-integer entry"),
+        ("1e400", "non-integer entry"),
+        ("2.0", "non-integer entry"),
+        ("-0.0", "non-integer entry"),
     ])
     @pytest.mark.parametrize("r, c", [(r, c) for r in range(3) for c in range(3)])
     def test_bad_entry_named_at_each_position(self, literal, message, r, c):
@@ -110,6 +115,21 @@ class TestParseDiagram:
     def test_unknown_mode(self):
         with pytest.raises(FormatError, match="mode"):
             parse_diagram('{"mode": "weird", "ranks": [1], "transitions": []}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "weird", "ranks": [1]}, """mode must be "plain" or "simplicial", got 'weird'"""),
+        ({"ranks": [1]}, 'mode must be "plain" or "simplicial", got None'),
+        ({"mode": "plain", "ranks": []}, "a diagram needs at least one stage"),
+        ({"mode": "plain", "ranks": [1], "mono": "yes"}, "mono_required must be a bool, got 'yes'"),
+        ({"mode": "plain", "ranks": [1], "mono": 1}, "mono_required must be a bool, got 1"),
+    ])
+    def test_diagram_fields_checked_by_the_constructor(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            SequenceDiagram(doc.get("mode"), doc["ranks"], [], doc.get("mono", False))
+        assert str(exc.value) == message
+        with pytest.raises(FormatError) as exc:
+            parse_diagram(json.dumps(doc))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("parse", [parse_diagram, parse_certificate])
     @pytest.mark.parametrize("field", [
@@ -231,11 +251,36 @@ class TestElements:
             parse_element(text)
         assert str(exc.value) == f"element {text!r} has non-integer parts"
 
+    @pytest.mark.parametrize("text", [
+        "1:{long}", "{long}:1", "1:2,{long},3", "1: +{zeros}1 ",
+    ])
+    def test_part_past_the_digit_limit(self, text):
+        limit = sys.get_int_max_str_digits()
+        text = text.format(long="9" * (limit + 1), zeros="0" * limit)
+        with pytest.raises(FormatError) as exc:
+            parse_element(text)
+        assert str(exc.value).endswith(f"has a part past the {limit}-digit limit")
+        assert parse_element(text.replace("9" * (limit + 1), "9" * limit).replace("0", "", 1))
+        try:
+            sys.set_int_max_str_digits(0)
+            assert parse_element(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text", [
+        "x" * 5000, "1:" + "x" * 5000, "1:" + "9" * 5000, "9" * 5000 + ":1", "1:1," + "2." * 2500,
+    ], ids=["no colon", "letters", "long coordinate", "long stage", "floats"])
+    def test_errors_quote_a_long_element_short(self, text):
+        with pytest.raises(FormatError) as exc:
+            parse_element(text)
+        quoted = str(exc.value).split("'")[1]
+        assert len(quoted) <= 40 and text.startswith(quoted.split("...")[0])
+
 
 def json_loads(text):
     """What ``_loads`` must give: the value or error of ``json.loads``."""
     try:
-        return json.loads(text, parse_float=_FloatLiteral)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         return FormatError(f"not a well-formed document: {exc}")
 
@@ -251,8 +296,8 @@ def json_walk(value):
 
 
 class TestLoadsIsJsonLoads:
-    """``_loads`` keeps one decoder for the process and ``json.loads``'s
-    front end, so it returns the same value or the same error text."""
+    """``_loads`` returns what plain ``json.loads`` returns, or its error
+    text as a format error."""
 
     @pytest.mark.parametrize("text", [
         '{"mode": "plain", "ranks": [1, 1], "transitions": [[[2]]]}',
@@ -288,7 +333,7 @@ def entry_walk(value, path, empty_width=0):
         if len(row) != width:
             return f"ragged matrix rows at {path}[{r}]"
         for c, x in enumerate(row):
-            if isinstance(x, _FloatLiteral):
+            if isinstance(x, float):
                 return f"non-integer entry at {path}[{r}][{c}]"
             if isinstance(x, bool) or not isinstance(x, int):
                 return f"expected an integer at {path}[{r}][{c}]"
