@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import reprlib
 import sys
 from pathlib import Path
 
 from . import colimit, confluence, invariants
 from .diagrams import validate
 from .formats import (
+    _DECIMAL,
     FormatError,
     emit_certificate,
     format_element,
@@ -228,6 +230,19 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """The value of an integer option.  argparse quotes a value that
+    ``type=int`` refuses in full, so a refused one is quoted here through
+    ``reprlib``, with the digit limit when a decimal literal is past it."""
+    try:
+        return int(text)
+    except ValueError:
+        # int refuses a decimal literal only when it is too long
+        limit = sys.get_int_max_str_digits()
+        past = f" (past the {limit}-digit limit)" if _DECIMAL.fullmatch(text) else ""
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}{past}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colim",
@@ -249,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a confluence certificate")
     p.add_argument("diagram_a")
     p.add_argument("diagram_b")
-    p.add_argument("--depth", type=int, default=3, help="certificate depth")
-    p.add_argument("--bound", type=int, default=4, help="entry bound for candidate maps")
-    p.add_argument("--horizon", type=int, default=12, help="last stage the search may use")
-    p.add_argument("--nodes", type=int, default=200000, help="node budget")
+    p.add_argument("--depth", type=_integer, default=3, help="certificate depth")
+    p.add_argument("--bound", type=_integer, default=4, help="entry bound for candidate maps")
+    p.add_argument("--horizon", type=_integer, default=12, help="last stage the search may use")
+    p.add_argument("--nodes", type=_integer, default=200000, help="node budget")
     p.add_argument("--emit", metavar="FILE", help="write the certificate to FILE")
     p.set_defaults(fn=_cmd_search)
 
@@ -268,20 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_integer)
     p.set_defaults(fn=_cmd_equal)
 
     p = sub.add_parser("cone", help="test positive-cone membership (simplicial)")
     p.add_argument("diagram")
     p.add_argument("--element", required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_integer)
     p.set_defaults(fn=_cmd_cone)
 
     p = sub.add_parser("divisible", help="test divisibility of an element")
     p.add_argument("diagram")
     p.add_argument("--element", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--horizon", type=_integer)
     p.set_defaults(fn=_cmd_divisible)
 
     p = sub.add_parser("invariants", help="print rank/Steinitz invariants and evidence")

@@ -6,14 +6,22 @@ are witnessed at a bounded stage but cannot refute tail-dependent ones,
 so queries answer in three values: ``yes(witness)``, ``no``, or
 ``unknown(horizon)``.  Only injective transitions (mono mode) upgrade
 some answers to a definitive ``no``.
+
+Elements move by :func:`~colim.diagrams.push`, one matrix-vector product
+per stored step; the only composite matrix built is the ``a_ij`` that
+``eventual_equalizer`` compares with ``p``.  Comparisons walk one vector:
+``equal_at`` the difference of the two elements, ``eventual_equalizer``
+the columns of ``p - a_ij``; the witness is the first stage at which it
+is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
-from .diagrams import SequenceDiagram, transition
+from .diagrams import SequenceDiagram, push, transition
 from .matrices import Matrix, _integers
 
 
@@ -75,26 +83,34 @@ def _check(seq: SequenceDiagram, last: int, *elements: ColimitElement) -> None:
             )
 
 
+def _unmatched(i: int, j: int) -> ValueError:
+    """The error of a diagram whose transitions from stage ``i`` to ``j``
+    do not chain with its ranks, which :func:`~colim.diagrams.validate`
+    reports as a shape mismatch: vectors there cannot be subtracted."""
+    return ValueError(f"transitions from stage {i} to {j} do not match the diagram's ranks")
+
+
 def _walk(seq: SequenceDiagram, start: int, vecs: list, horizon: int):
     """Yield ``(k, vecs pushed forward to stage k)`` for ``k = start ..
     horizon``, taking each step only when the caller asks for it."""
     for k in range(start, horizon + 1):
         yield k, vecs
         if k < horizon:
-            step = transition(seq, k, k + 1)
+            step = seq._step(k)
             vecs = [step.apply(v) for v in vecs]
 
 
 def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitElement:
     """Representative of ``e`` at the later stage ``j``."""
     _check(seq, j, e)
-    return ColimitElement(j, transition(seq, e.stage, j).apply(e.vec))
+    return ColimitElement(j, push(seq, e.stage, j, e.vec))
 
 
 def equal_at(
     seq: SequenceDiagram, e1: ColimitElement, e2: ColimitElement, horizon: int
 ) -> Trilean:
-    """Least stage within the horizon at which the two elements agree.
+    """Least stage within the horizon at which the two elements agree,
+    i.e. at which the pushforward of their difference is zero.
 
     In mono mode disagreement at ``max(stage1, stage2)`` is definitive,
     since injective transitions cannot merge distinct vectors later.
@@ -103,11 +119,13 @@ def equal_at(
     start = max(e1.stage, e2.stage)
     if horizon < start:
         return Trilean.unknown(horizon)
-    xs = [transition(seq, e.stage, start).apply(e.vec) for e in (e1, e2)]
+    x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
     if seq.mono_required:
-        return Trilean.yes(start) if xs[0] == xs[1] else Trilean.no()
-    for k, (x1, x2) in _walk(seq, start, xs, horizon):
-        if x1 == x2:
+        return Trilean.yes(start) if x1 == x2 else Trilean.no()
+    if len(x1) != len(x2):
+        raise _unmatched(min(e1.stage, e2.stage), start)
+    for k, (d,) in _walk(seq, start, [tuple(map(sub, x1, x2))], horizon):
+        if not any(d):
             return Trilean.yes(k)
     return Trilean.unknown(horizon)
 
@@ -129,10 +147,12 @@ def eventual_equalizer(
     a_ij = transition(seq, i, j)
     if seq.mono_required:
         return Trilean.yes(j) if p == a_ij else Trilean.no()
-    # the columns of a_{j,i0} * p, then those of a_{i,i0}
-    cols = [m.col(c) for m in (p, a_ij) for c in range(m.cols)]
+    if (a_ij.rows, a_ij.cols) != want:
+        raise _unmatched(i, j)
+    # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
+    cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
     for i0, pushed in _walk(seq, j, cols, horizon):
-        if pushed[: p.cols] == pushed[p.cols :]:
+        if not any(map(any, pushed)):
             return Trilean.yes(i0)
     return Trilean.unknown(horizon)
 
@@ -151,7 +171,7 @@ def factor_through_stage(
         raise ValueError("need at least one image")
     _check(seq, horizon, *images)
     start = max(e.stage for e in images)
-    cols = [transition(seq, e.stage, start).apply(e.vec) for e in images]
+    cols = [push(seq, e.stage, start, e.vec) for e in images]
     for i0, pushed in _walk(seq, start, cols, horizon):
         if not (seq.simplicial and any(x < 0 for c in pushed for x in c)):
             return i0, Matrix.from_columns(pushed, rows=seq.rank_at(i0))
@@ -165,7 +185,7 @@ def cone_member(seq: SequenceDiagram, e: ColimitElement, horizon: int) -> Trilea
         raise ValueError("cone membership is only defined in simplicial mode")
     _check(seq, horizon, e)
     for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
-        if all(v >= 0 for v in x):
+        if min(x, default=0) >= 0:
             return Trilean.yes(k)
     return Trilean.unknown(horizon)
 
@@ -179,6 +199,6 @@ def divisible(
         raise ValueError("modulus must be >= 1")
     _check(seq, horizon, e)
     for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
-        if all(v % m == 0 for v in x):
+        if not any([v % m for v in x]):
             return Trilean.yes(k)
     return Trilean.unknown(horizon)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colimit import ColimitElement, equal_at
-from .diagrams import SequenceDiagram, transition, validate
+from .diagrams import SequenceDiagram, push, transition, validate
 from .matrices import Matrix, _integers, iter_matrices, solve_matrix_eq
 
 FORWARD = "forward"
@@ -211,7 +211,9 @@ def induced_map(
 
     Forward uses the least chain node of diagram A with ``i_n >= stage``
     and its map ``f_n``; backward the least node of B with ``k_n >= stage``
-    and its map ``g_n``.  Well-defined up to colimit equality.
+    and its map ``g_n``.  Well-defined up to colimit equality.  The
+    element moves to that node by :func:`~colim.diagrams.push`, one
+    matrix-vector product per step, and through the map by one more.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction {direction!r}")
@@ -222,7 +224,7 @@ def induced_map(
         last = f"last certificate index {stages[-2]}"
         reach = "the backward range of the certificate" if side else last
         raise ValueError(f"element stage {e.stage} beyond {reach}")
-    vec = transition((seqA, seqB)[side], e.stage, stages[p]).apply(e.vec)
+    vec = push((seqA, seqB)[side], e.stage, stages[p], e.vec)
     # a map without rows, read at its source stage's rank, sends vec to ()
     return ColimitElement(stages[p + 1], maps[p].apply(vec) if maps[p].rows else ())
 

@@ -76,6 +76,10 @@ class SequenceDiagram:
             raise ValueError("period declaration is not covered by the stored transitions")
         return prefix + (t - prefix) % length
 
+    def _step(self, i: int) -> Matrix:
+        """The stored matrix of the step from stage ``i`` to ``i + 1``."""
+        return self.transitions[self._stored_index(i - 1)]
+
     def rank_at(self, i: int) -> int:
         """Rank of stage ``i`` (1-based), also past the truncation when
         the declared period covers it."""
@@ -83,7 +87,7 @@ class SequenceDiagram:
             raise ValueError(f"stage {i} below 1")
         if i <= self.length:
             return self.ranks[i - 1]
-        return self.transitions[self._stored_index(i - 2)].rows
+        return self._step(i - 1).rows
 
     def has_stage(self, i: int) -> bool:
         """Whether stage ``i`` is stored or covered by the declared period."""
@@ -172,15 +176,41 @@ def _find_violations(seq: SequenceDiagram) -> list:
 def transition(seq: SequenceDiagram, i: int, j: int) -> Matrix:
     """Composite transition from stage ``i`` to stage ``j`` (1-based);
     the ``i = j`` case is the identity and a single step is the stored
-    matrix.  Stages past the truncation follow the declared period."""
+    matrix.  Stages past the truncation follow the declared period.  To
+    move a vector, :func:`push` gives the same without building it."""
     if not 1 <= i <= j:
         raise ValueError(f"stages ({i}, {j}) must satisfy 1 <= i <= j")
     if i == j:
         return Matrix.identity(seq.rank_at(i))
-    m = seq.transitions[seq._stored_index(i - 1)]
-    for t in range(i, j - 1):
-        m = seq.transitions[seq._stored_index(t)] * m
+    m = seq._step(i)
+    for k in range(i + 1, j):
+        m = seq._step(k) * m
     return m
+
+
+def push(seq: SequenceDiagram, i: int, j: int, vec) -> tuple:
+    """``transition(seq, i, j).apply(vec)``, with the same errors in the
+    same order, by one matrix-vector product per stored step: the steps
+    are resolved and checked to compose first, and ``i = j`` builds
+    nothing."""
+    if not 1 <= i <= j:
+        raise ValueError(f"stages ({i}, {j}) must satisfy 1 <= i <= j")
+    if i == j:
+        rank = seq.rank_at(i)
+        if len(vec) != rank:
+            raise ValueError(f"vector length {len(vec)}, expected {rank}")
+        return tuple(vec)
+    steps = [seq._step(i)]
+    for k in range(i + 1, j):
+        step = seq._step(k)
+        if step.cols != steps[-1].rows:  # what transition's product raises
+            raise ValueError(
+                f"shape mismatch: ({step.rows}x{step.cols}) * ({steps[-1].rows}x{steps[0].cols})"
+            )
+        steps.append(step)
+    for step in steps:
+        vec = step.apply(vec)
+    return vec
 
 
 def unroll(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
@@ -192,5 +222,5 @@ def unroll(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
     if seq.period is None and horizon == seq.length:
         return seq
     ranks = [seq.rank_at(i) for i in range(1, horizon + 1)]
-    transitions = [seq.transitions[seq._stored_index(t)] for t in range(horizon - 1)]
+    transitions = [seq._step(k) for k in range(1, horizon)]
     return SequenceDiagram(seq.mode, ranks, transitions, seq.mono_required, None)

@@ -30,14 +30,16 @@ element is factored, at most once, only when its primes are printed.
 Printing uses ``factorint``, a splitter on the standard library alone:
 trial division by the primes up to 41, a strong-probable-prime test to
 those 13 bases, which proves primality below ``_PROVEN_BELOW`` (about
-3.3e24; Sorenson and Webster, Math. Comp. 86, 2017), and Brent's rho
-(BIT 20, 1980) within ``_RHO_STEPS`` steps per call, a step modulo a
-part longer than 512 bits charged by the square of its size.  A part the
-budget does not split, or a probable prime it cannot prove, stays one
-factor.  Such a factor is still a product of powers of primes, so
-equivalence is decided over a coprime base rather than by key, and every
-printed report notes it (``SupernaturalNumber.unproven``).  No call runs
-past the budget, whatever the size of its parts or of their primes.
+3.3e24; Sorenson and Webster, Math. Comp. 86, 2017) and stops at the
+first bases that decide a smaller number (two below 1,373,653), and
+Brent's rho (BIT 20, 1980) within ``_RHO_STEPS`` steps per call, a step
+modulo a part longer than 512 bits charged by the square of its size.  A
+part the budget does not split, or a probable prime it cannot prove,
+stays one factor.  Such a factor is still a product of powers of primes,
+so equivalence is decided over a coprime base rather than by key, and
+every printed report notes it (``SupernaturalNumber.unproven``).  No
+call runs past the budget, whatever the size of its parts or of their
+primes.
 """
 
 from __future__ import annotations
@@ -127,6 +129,13 @@ def _multipliers(seq: SequenceDiagram) -> list:
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below this bound a strong probable prime to all of _SPRP_BASES is prime
 _PROVEN_BELOW = 3317044064679887385961981
+# below _SPRP_DECIDED[k] one to the first k + 1 bases is prime (OEIS A014233:
+# Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+_SPRP_DECIDED = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, _PROVEN_BELOW,
+)
 # the Brent rho steps one ``factorint`` call may spend, over all its retries,
 # on parts of up to 512 bits; a step modulo a part of b > 512 bits costs
 # (b / 512)**2 of them, as its multiplication does, so the budget bounds time
@@ -135,19 +144,23 @@ _RHO_STEPS = 1 << 18
 
 def _sprp(n: int) -> bool:
     """Whether ``n > 41`` is a strong probable prime to every base of
-    ``_SPRP_BASES``; false for even ``n`` and multiples of a base."""
+    ``_SPRP_BASES``; false for even ``n`` and multiples of a base.  Only
+    the bases that decide ``n``'s size run: after the first ``k`` the
+    answer is true once ``n`` is below ``_SPRP_DECIDED[k - 1]``, so a
+    16-bit ``n`` takes two and ``n >= _PROVEN_BELOW`` all 13."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == d * 2**s, d odd
     d = (n - 1) >> s
-    for a in _SPRP_BASES:
+    for a, decided in zip(_SPRP_BASES, _SPRP_DECIDED):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < decided:
+            return True
     return True
 
 

@@ -38,7 +38,7 @@ class Matrix:
                 raise ValueError(f"row {r} has length {len(row)}, expected {cols}")
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"non-integer entry {x!r} in row {r}")
+                    raise ValueError(f"non-integer entry {reprlib.repr(x)} in row {r}")
             data.append(tuple(row))
         self.rows = rows
         self.cols = cols

@@ -208,6 +208,48 @@ class TestErrorsAcrossCommands:
         assert err.endswith(f"has a part past the {sys.get_int_max_str_digits()}-digit limit\n")
 
 
+# every integer option, with the arguments its command needs besides it
+INTEGER_OPTIONS = [
+    ("search", X2, X4, "--depth"),
+    ("search", X2, X4, "--bound"),
+    ("search", X2, X4, "--horizon"),
+    ("search", X2, X4, "--nodes"),
+    ("equal", X2, "--e1", "1:1", "--e2", "1:1", "--horizon"),
+    ("cone", FIB, "--element", "1:1,0", "--horizon"),
+    ("divisible", X2, "--element", "1:1", "--horizon"),
+    ("divisible", X2, "--element", "1:1", "--m"),
+]
+
+
+class TestIntegerOptions:
+    """A refused integer option is a usage error (exit 2) that quotes the
+    value briefly, and names the digit limit when a literal is past it."""
+
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert len(err) < 300 and "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_long_value(self, capsys, argv):
+        line = self.usage_error(capsys, [*argv, "9" * 5000])
+        limit = sys.get_int_max_str_digits()
+        assert line.endswith(f"argument {argv[-1]}: invalid int value: '{'9' * 12}...{'9' * 13}' "
+                             f"(past the {limit}-digit limit)")
+
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_not_a_number(self, capsys, argv):
+        line = self.usage_error(capsys, [*argv, "x"])
+        assert line.endswith(f"argument {argv[-1]}: invalid int value: 'x'")
+
+    def test_long_value_that_is_not_a_literal(self, capsys):
+        line = self.usage_error(capsys, ["equal", X2, "--e1", "1:1", "--e2", "1:1", "--horizon", "9" * 5000 + "x"])
+        assert line.endswith("argument --horizon: invalid int value: '999999999999...999999999999x'")
+
+
 class TestSearch:
     def test_finds_and_emits(self, capsys, tmp_path):
         out_file = tmp_path / "found.cert"

@@ -400,3 +400,61 @@ class TestFactorint:
         assert invariants.factorint(m89) == {m89: 1}
         assert not invariants._proven_prime(m89)
         assert invariants._proven_prime(invariants._PROVEN_BELOW - 1) == isprime(invariants._PROVEN_BELOW - 1)
+
+
+def sprp_all_bases(n, bases=invariants._SPRP_BASES):
+    """The strong-probable-prime test to every one of ``bases``."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestSprpStopsAtTheBasesItsSizeNeeds:
+    """``_sprp`` stops after the first ``k`` bases once ``n`` is below the
+    least strong pseudoprime to all of them; its answer is the 13-base one."""
+
+    def test_every_odd_number_below_400000(self):
+        for n in range(43, 400_000, 2):
+            assert invariants._sprp(n) == sprp_all_bases(n), n
+
+    def test_around_each_bound(self):
+        for bound in invariants._SPRP_DECIDED:
+            for n in range(bound - 2, bound + 3):
+                assert invariants._sprp(n) == sprp_all_bases(n), n
+
+    def test_random_odd_numbers_below_2_to_the_90(self):
+        rng = random.Random(90)
+        for _ in range(25_000):
+            n = rng.randrange(43, 2**90) | 1
+            assert invariants._sprp(n) == sprp_all_bases(n), n
+
+    def test_each_bound_fools_the_bases_it_bounds(self):
+        # so no test may stop there: the k-th bound is a composite strong
+        # pseudoprime to the first k bases
+        assert invariants._SPRP_DECIDED[-1] == invariants._PROVEN_BELOW
+        for k, bound in enumerate(invariants._SPRP_DECIDED, start=1):
+            assert not isprime(bound)
+            assert sprp_all_bases(bound, invariants._SPRP_BASES[:k]), k
+
+    def test_bases_run(self, monkeypatch):
+        calls = []
+
+        def counted_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(invariants, "pow", counted_pow, raising=False)
+        for n, bases in ((1_999, 1), (65_521, 2), (2**61 - 1, 9), (2**89 - 1, 13)):
+            calls.clear()
+            assert invariants._sprp(n)
+            assert len(calls) == bases, n

@@ -629,3 +629,17 @@ class TestFromColumns:
         assert Matrix.from_columns([], rows=2) == Matrix.zero(2, 0)
         with pytest.raises(ValueError, match="declared row count"):
             Matrix.from_columns([[1, 2]], rows=3)
+
+
+class TestConstructorQuotesBriefly:
+    @pytest.mark.parametrize("entry, quoted", [
+        ("9" * 5000, "'999999999999...9999999999999'"),
+        ("x", "'x'"),
+        (1.5, "1.5"),
+        (True, "True"),
+    ])
+    def test_non_integer_entry(self, entry, quoted):
+        with pytest.raises(ValueError) as exc:
+            Matrix([[1, 2], [3, entry]])
+        assert str(exc.value) == f"non-integer entry {quoted} in row 1"
+        assert len(str(exc.value)) < 80
