@@ -12,7 +12,9 @@ per stored step; the only composite matrix built is the ``a_ij`` that
 ``eventual_equalizer`` compares with ``p``.  Comparisons walk one vector:
 ``equal_at`` the difference of the two elements, ``eventual_equalizer``
 the columns of ``p - a_ij``; the witness is the first stage at which it
-is zero.
+is zero.  On a diagram that :func:`~colim.diagrams.validate` rejects
+every query raises ``invalid diagram: <first violation>``, since such a
+diagram has no stages to read.
 """
 
 from __future__ import annotations
@@ -83,13 +85,6 @@ def _check(seq: SequenceDiagram, last: int, *elements: ColimitElement) -> None:
             )
 
 
-def _unmatched(i: int, j: int) -> ValueError:
-    """The error of a diagram whose transitions from stage ``i`` to ``j``
-    do not chain with its ranks, which :func:`~colim.diagrams.validate`
-    reports as a shape mismatch: vectors there cannot be subtracted."""
-    return ValueError(f"transitions from stage {i} to {j} do not match the diagram's ranks")
-
-
 def _walk(seq: SequenceDiagram, start: int, vecs: list, horizon: int):
     """Yield ``(k, vecs pushed forward to stage k)`` for ``k = start ..
     horizon``, taking each step only when the caller asks for it."""
@@ -122,8 +117,6 @@ def equal_at(
     x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
     if seq.mono_required:
         return Trilean.yes(start) if x1 == x2 else Trilean.no()
-    if len(x1) != len(x2):
-        raise _unmatched(min(e1.stage, e2.stage), start)
     for k, (d,) in _walk(seq, start, [tuple(map(sub, x1, x2))], horizon):
         if not any(d):
             return Trilean.yes(k)
@@ -144,11 +137,11 @@ def eventual_equalizer(
     want = (seq.rank_at(j), seq.rank_at(i))
     if (p.rows, p.cols) != want:
         raise ValueError(f"p has shape {p.rows}x{p.cols}, expected {want[0]}x{want[1]}")
+    if horizon < j:
+        return Trilean.unknown(horizon)
     a_ij = transition(seq, i, j)
     if seq.mono_required:
         return Trilean.yes(j) if p == a_ij else Trilean.no()
-    if (a_ij.rows, a_ij.cols) != want:
-        raise _unmatched(i, j)
     # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
     cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
     for i0, pushed in _walk(seq, j, cols, horizon):

@@ -7,6 +7,11 @@ transitions repeat forever after a prefix; that declaration is the only
 way to state knowledge about the infinite tail.  Stage and transition
 lookups past the truncation follow the declared period, so every stage
 the period covers is available without building a longer copy.
+
+An invalid diagram has no stages: ``rank_at`` and ``_step``, through
+which every walk, query, composite and induced map reads a diagram,
+raise ``invalid diagram: <first violation>`` on a diagram that
+:func:`validate` rejects.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class SequenceDiagram:
     """A truncated sequence of stages and transition homomorphisms.
 
     The constructor is deliberately permissive about shape mismatches;
-    :func:`validate` reports every violated invariant as data.
+    :func:`validate` reports every violated invariant as data, and no
+    stage of a diagram with a violation can be read.
     """
 
     mode: str
@@ -61,28 +67,24 @@ class SequenceDiagram:
     def simplicial(self) -> bool:
         return self.mode == SIMPLICIAL
 
-    def _stored_index(self, t: int, known: Optional[int] = None) -> int:
-        """Index in ``transitions`` of transition ``t`` (0-based: stage
-        ``t + 1`` to ``t + 2``) when the first ``known`` transitions
-        (default: all stored ones) are given: ``t`` itself among them,
-        past them the one the declared period repeats."""
-        known = len(self.transitions) if known is None else known
-        if t < known:
-            return t
-        if self.period is None:
-            raise ValueError(f"stage {t + 2} beyond truncation of length {self.length}")
-        prefix, length = self.period
-        if prefix + length > known:
-            raise ValueError("period declaration is not covered by the stored transitions")
-        return prefix + (t - prefix) % length
-
     def _step(self, i: int) -> Matrix:
-        """The stored matrix of the step from stage ``i`` to ``i + 1``."""
-        return self.transitions[self._stored_index(i - 1)]
+        """The matrix of the step from stage ``i`` to ``i + 1``: the stored
+        one, past the truncation the one the declared period repeats."""
+        if self._violations:
+            raise ValueError(f"invalid diagram: {self._violations[0]}")
+        t = i - 1
+        if t < len(self.transitions):
+            return self.transitions[t]
+        if self.period is None:
+            raise ValueError(f"stage {i + 1} beyond truncation of length {self.length}")
+        prefix, length = self.period
+        return self.transitions[prefix + (t - prefix) % length]
 
     def rank_at(self, i: int) -> int:
         """Rank of stage ``i`` (1-based), also past the truncation when
         the declared period covers it."""
+        if self._violations:
+            raise ValueError(f"invalid diagram: {self._violations[0]}")
         if i < 1:
             raise ValueError(f"stage {i} below 1")
         if i <= self.length:
@@ -164,7 +166,7 @@ def _find_violations(seq: SequenceDiagram) -> list:
                 f"transition {prefix + 1} starts at rank {first.cols}"
             )
         for t in range(covered, len(seq.transitions)):
-            ref = seq._stored_index(t, covered)
+            ref = prefix + (t - prefix) % length
             if seq.transitions[t] != seq.transitions[ref]:
                 violations.append(
                     f"transition {t + 1} breaks the declared period "
@@ -190,9 +192,9 @@ def transition(seq: SequenceDiagram, i: int, j: int) -> Matrix:
 
 def push(seq: SequenceDiagram, i: int, j: int, vec) -> tuple:
     """``transition(seq, i, j).apply(vec)``, with the same errors in the
-    same order, by one matrix-vector product per stored step: the steps
-    are resolved and checked to compose first, and ``i = j`` builds
-    nothing."""
+    same order, by one matrix-vector product per stored step: every step
+    is resolved before any is applied, so a stage past the truncation is
+    reported before a bad vector length, and ``i = j`` builds nothing."""
     if not 1 <= i <= j:
         raise ValueError(f"stages ({i}, {j}) must satisfy 1 <= i <= j")
     if i == j:
@@ -200,14 +202,7 @@ def push(seq: SequenceDiagram, i: int, j: int, vec) -> tuple:
         if len(vec) != rank:
             raise ValueError(f"vector length {len(vec)}, expected {rank}")
         return tuple(vec)
-    steps = [seq._step(i)]
-    for k in range(i + 1, j):
-        step = seq._step(k)
-        if step.cols != steps[-1].rows:  # what transition's product raises
-            raise ValueError(
-                f"shape mismatch: ({step.rows}x{step.cols}) * ({steps[-1].rows}x{steps[0].cols})"
-            )
-        steps.append(step)
+    steps = [seq._step(k) for k in range(i, j)]
     for step in steps:
         vec = step.apply(vec)
     return vec
@@ -219,8 +214,8 @@ def unroll(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
     an error past an undeclared tail."""
     if horizon < seq.length:
         raise ValueError(f"horizon {horizon} below current length {seq.length}")
+    ranks = [seq.rank_at(i) for i in range(1, horizon + 1)]
     if seq.period is None and horizon == seq.length:
         return seq
-    ranks = [seq.rank_at(i) for i in range(1, horizon + 1)]
     transitions = [seq._step(k) for k in range(1, horizon)]
     return SequenceDiagram(seq.mode, ranks, transitions, seq.mono_required, None)

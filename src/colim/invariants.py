@@ -114,11 +114,11 @@ class SupernaturalNumber:
 
 
 def _multipliers(seq: SequenceDiagram) -> list:
-    if any(r != 1 for r in seq.ranks):
+    if any(seq.rank_at(i) != 1 for i in range(1, seq.length + 1)):
         raise ValueError("supernatural invariants need a rank-1 sequence")
     ms = []
-    for t, m in enumerate(seq.transitions, start=1):
-        x = m[0, 0]
+    for t in range(1, seq.length):
+        x = seq._step(t)[0, 0]
         if x == 0:
             raise ValueError(f"zero multiplier at transition {t}")
         ms.append(abs(x))
@@ -316,11 +316,11 @@ def colimit_rank(seq: SequenceDiagram) -> tuple:
     """
     if not seq.mono_required:
         raise ValueError("diagram not declared mono")
-    last = seq.ranks[-1]
+    last = seq.rank_at(seq.length)
     stabilized = False
     if seq.period is not None:
         prefix, _ = seq.period
-        stabilized = all(r == last for r in seq.ranks[prefix:])
+        stabilized = all(seq.rank_at(i) == last for i in range(prefix + 1, seq.length + 1))
     return last, stabilized
 
 

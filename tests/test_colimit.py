@@ -72,6 +72,14 @@ class TestEventualEqualizer:
     def test_mono_definitive_no(self):
         assert eventual_equalizer(X2, 1, 1, Matrix([[5]]), 10) == Trilean.no()
 
+    def test_horizon_below_the_later_stage_is_unknown(self):
+        # the least i0 is sought in [j, horizon], which is empty here
+        assert eventual_equalizer(X2, 1, 5, Matrix([[16]]), 3) == Trilean.unknown(3)
+        assert eventual_equalizer(X2, 1, 5, Matrix([[15]]), 4) == Trilean.unknown(4)
+        seq = SequenceDiagram("plain", [1, 1, 1], [Matrix([[0]]), Matrix([[0]])])
+        assert eventual_equalizer(seq, 1, 2, Matrix([[0]]), 1) == Trilean.unknown(1)
+        assert eventual_equalizer(X2, 1, 5, Matrix([[16]]), 5) == Trilean.yes(5)
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             eventual_equalizer(X2, 1, 2, Matrix([[1, 2]]), 5)

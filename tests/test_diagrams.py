@@ -218,7 +218,7 @@ class TestPeriodicTail:
     def test_uncovered_period_raises_everywhere(self):
         seq = SequenceDiagram("simplicial", [1, 1], [Matrix([[2]])], False, (1, 1))
         assert not seq.has_stage(3)
-        assert seq.has_stage(2)
+        assert not seq.has_stage(2)  # an invalid diagram has no stages
         e = ColimitElement(1, [1])
         for call in (
             lambda: transition(seq, 1, 3),
@@ -229,7 +229,7 @@ class TestPeriodicTail:
             lambda: cone_member(seq, e, 3),
             lambda: divisible(seq, e, 2, 3),
         ):
-            with pytest.raises(ValueError, match="not covered"):
+            with pytest.raises(ValueError, match=r"^invalid diagram: period declaration needs transitions up to 2, only 1 stored$"):
                 call()
 
     def test_non_periodic_stops_at_truncation(self):

@@ -310,16 +310,16 @@ class TestNoMatrixBuilt:
 
 class TestRanksThatDisagreeWithShapes:
     """A diagram whose transition shapes disagree with its ranks, which
-    ``validate`` rejects, gives vectors of two lengths at one stage: no
-    difference of them is formed, so no answer is made up from it."""
+    ``validate`` rejects, has no stages: no vector is moved in it, so no
+    answer is made up from vectors of two lengths at one stage."""
 
     SEQ = SequenceDiagram("plain", [1, 2, 2], [Matrix([[1]]), Matrix([[1, 0], [0, 1]])])
 
     def test_equal_at_refuses(self):
         assert not validate(self.SEQ).ok
-        with pytest.raises(ValueError, match="^transitions from stage 1 to 2 do not match the diagram's ranks$"):
+        with pytest.raises(ValueError, match="^invalid diagram: shape mismatch at transition 1: got 1x1, expected 2x1$"):
             equal_at(self.SEQ, ColimitElement(1, (1,)), ColimitElement(2, (1, 0)), 3)
 
     def test_eventual_equalizer_refuses(self):
-        with pytest.raises(ValueError, match="^transitions from stage 1 to 2 do not match the diagram's ranks$"):
+        with pytest.raises(ValueError, match="^invalid diagram: shape mismatch at transition 1: got 1x1, expected 2x1$"):
             eventual_equalizer(self.SEQ, 1, 2, Matrix([[1], [0]]), 3)
