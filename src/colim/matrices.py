@@ -1,10 +1,12 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
 Everything here runs over Python's native bignums, so all results are
-exact.  One row-echelon routine does every integer elimination: rank,
+exact.  Lattice questions go through one Hermite elimination kernel:
 kernel basis, Smith normal form with unimodular transforms and the
-bounded enumerator for the integer solutions of ``X * K = T``
-all call it, and it keeps every entry polynomial in the input size.
+bounded enumerator for the integer solutions of ``X * K = T`` all call
+it, and it keeps every entry polynomial in the input size.  Rank
+questions are answered over the rationals instead, by fraction-free
+elimination on primitive rows, which builds no lattice basis.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import reprlib
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -285,7 +288,51 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.to_lists()))
+    """Rank of ``m`` over the rationals, which is its rank over the integers.
+
+    Fraction-free elimination on primitive integer rows, without the
+    Hermite kernel: a rank never reads the lattice basis that
+    :func:`_echelon` builds.  Each incoming row ``v`` is cleared at the
+    pivot column ``c`` of every kept row ``h``, in the order they were
+    kept, by ``v <- (p/g)*v - (b/g)*h`` with ``p = h[c]``, ``b = v[c]``
+    and ``g = gcd(p, b)``; a kept row is zero at the pivot columns of the
+    rows kept before it, so no step undoes another.  A row that ends
+    nonzero is divided by its content and kept, with its first nonzero
+    column as pivot.  The rank is the number of rows kept; the loop stops
+    once it reaches the column count.
+
+    Size bound: the ``k``-th kept row (from 0) spans, with the rows kept
+    before it, the same space as ``k + 1`` input rows and is zero at
+    ``k`` pivot columns, so it is proportional to the vector of the
+    ``(k+1)``-minors of those input rows on the pivot columns plus one
+    more column.  Being primitive, its entries are within Hadamard's
+    bound for those minors.  A row before its content division is the
+    input row times at most ``k`` kept pivots, plus multiples of kept
+    rows, so it is at most ``k`` such factors larger: every entry has
+    polynomially many bits in the input size.
+    """
+    cols = m.cols
+    kept = []  # (pivot column, primitive row), in the order kept
+    for v in m.entries:
+        for c, h in kept:
+            b = v[c]
+            if b:
+                p = h[c]
+                g = gcd(p, b)
+                if g != 1:
+                    p //= g
+                    b //= g
+                v = [p * t - b * s for s, t in zip(h, v)]
+        for c, x in enumerate(v):
+            if x:
+                if len(kept) + 1 == cols:
+                    return cols
+                g = gcd(*v)
+                if g != 1:
+                    v = [t // g for t in v]
+                kept.append((c, v))
+                break
+    return len(kept)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -299,6 +346,14 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 def is_injective(m: Matrix) -> bool:
+    """Whether ``m`` is injective as a map ``Z^cols -> Z^rows``: whether
+    its :func:`rank` over the rationals is its column count.
+
+    The work is that of :func:`rank`, with the same bound: the ``k``-th
+    kept row is primitive and proportional to a vector of ``(k+1)``-minors
+    of the rows, so within Hadamard's bound, and a row before its content
+    division is at most ``k`` such factors larger.
+    """
     return rank(m) == m.cols
 
 

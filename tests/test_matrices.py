@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -90,13 +91,20 @@ def seeded_square(rng, n, deficient):
     two base rows."""
     if not deficient:
         return Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n)
-    base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - rng.randint(1, 2))]
-    rows = base + [
+    return dependent_rows(rng, n, n, n - rng.randint(1, 2), 4)
+
+
+def dependent_rows(rng, rows, cols, rank_, bound):
+    """``rows x cols`` matrix of rank at most ``rank_``: ``rank_`` base
+    rows with entries in ``[-bound, bound]``, the others sums or
+    differences of two of them, shuffled."""
+    base = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank_)]
+    out = base + [
         [x + sign * y for x, y in zip(rng.choice(base), rng.choice(base))]
-        for sign in (rng.choice((1, -1)) for _ in range(n - len(base)))
+        for sign in (rng.choice((1, -1)) for _ in range(rows - rank_))
     ]
-    rng.shuffle(rows)
-    return Matrix(rows, cols=n)
+    rng.shuffle(out)
+    return Matrix(out, cols=cols)
 
 
 SIZES = [(n, deficient) for n in range(4, 17) for deficient in (False, True)]
@@ -217,6 +225,156 @@ class TestKernel:
         assert singular
         report = validate(SequenceDiagram("plain", [8] * 13, transitions, True, None))
         assert report.violations == [f"non-injective transition {t}" for t in sorted(singular)]
+
+
+def assert_rank_agrees(m):
+    want = bareiss_rank(m)
+    assert rank(m) == want
+    assert is_injective(m) == (want == m.cols)
+
+
+wide_matrix = st.integers(1, 7).flatmap(
+    lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-(2**40), 2**40), min_size=c, max_size=c), min_size=r, max_size=r
+        ).map(Matrix)
+    )
+)
+
+
+class TestRankOverRationals:
+    """``rank`` and ``is_injective`` eliminate over the rationals on
+    primitive rows; the fraction-free Bareiss oracle shares no code with
+    them."""
+
+    @pytest.mark.parametrize("rows", range(1, 17))
+    def test_tall_and_wide_shapes(self, rows):
+        rng = random.Random(f"shapes:{rows}")
+        for cols in range(1, 17):
+            assert_rank_agrees(random_matrix(rng, rows, cols, 9))
+            assert_rank_agrees(dependent_rows(rng, rows, cols, rng.randint(1, min(rows, cols)), 4))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_entries_up_to_2_70(self, n):
+        rng = random.Random(f"big:{n}")
+        for rows, cols in ((n, n), (n + 2, n), (n, n + 2)):
+            assert_rank_agrees(random_matrix(rng, rows, cols, 2**70))
+            assert_rank_agrees(dependent_rows(rng, rows, cols, max(1, min(rows, cols) - 1), 2**70))
+
+    def test_interleaved_zero_and_repeated_rows(self):
+        rng = random.Random("repeats")
+        for n in range(1, 9):
+            base = random_matrix(rng, n, n, 9).to_lists()
+            rows = []
+            for r in base:
+                rows += [r, [0] * n, r, [-3 * x for x in r]]
+            rng.shuffle(rows)
+            m = Matrix(rows, cols=n)
+            assert_rank_agrees(m)
+            assert_rank_agrees(m.transpose())
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_zero_dimensions(self, n):
+        assert rank(Matrix.zero(0, n)) == rank(Matrix.zero(n, 0)) == 0
+        assert is_injective(Matrix.zero(0, n)) == (n == 0)
+        assert is_injective(Matrix.zero(n, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrix)
+    def test_wide_entries_match_fraction_free_oracle(self, m):
+        assert_rank_agrees(m)
+
+    @pytest.mark.parametrize("want", [32, 24])
+    def test_32x32_with_64_bit_entries(self, monkeypatch, want):
+        """Every number the elimination takes a gcd of, so every row
+        before its content division, stays within the bound that
+        ``rank`` states: the product of the Hadamard bounds of the
+        ``r``-minors for ``r`` up to 32."""
+        rng = random.Random(f"hadamard:{want}")
+        m = dependent_rows(rng, 32, 32, want, 2**64)
+        widest = []
+
+        def recording_gcd(*args):
+            widest.append(max(abs(x).bit_length() for x in args))
+            return gcd(*args)
+
+        monkeypatch.setattr(matrices, "gcd", recording_gcd)
+        assert bareiss_rank(m) == want
+        assert_rank_agrees(m)
+        norm_bits = max(sum(x * x for x in r) for r in m.entries).bit_length() / 2
+        assert max(widest) <= 1 + sum(r * norm_bits for r in range(1, 33))
+
+
+class TestRankBuildsNoLattice:
+    """Rank questions never reach the Hermite kernel; lattice questions
+    still do."""
+
+    def test_rank_answers_without_echelon(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("the Hermite kernel was reached")
+
+        monkeypatch.setattr(matrices, "_echelon", refuse)
+        rng = random.Random("guard:8")
+        transitions = [seeded_square(rng, 8, t % 2 == 1) for t in range(6)]
+        singular = [t for t, m in enumerate(transitions, start=1) if bareiss_rank(m) < 8]
+        assert singular
+        for m in transitions:
+            assert_rank_agrees(m)
+        report = validate(SequenceDiagram("plain", [8] * 7, transitions, True, None))
+        assert report.violations == [f"non-injective transition {t}" for t in singular]
+        m = transitions[0]
+        for lattice_question in (snf, kernel_basis, lambda k: solve_matrix_eq(k, k)):
+            with pytest.raises(AssertionError, match="^the Hermite kernel was reached$"):
+                lattice_question(m)
+
+
+def tall_map(rng, rows, cols, injective):
+    """``rows x cols`` map with entries in [-9, 9], for ``cols >= 2``:
+    an injective one has full column rank, any other has a column that
+    is a sum or a difference of two others (or twice another, or zero)."""
+    while True:
+        m = random_matrix(rng, rows, cols, 9)
+        if not injective:
+            columns = [m.col(j) for j in range(cols)]
+            j = rng.randrange(cols)
+            others = columns[:j] + columns[j + 1 :]
+            a, b, sign = rng.choice(others), rng.choice(others), rng.choice((1, -1))
+            columns[j] = tuple(x + sign * y for x, y in zip(a, b))
+            m = Matrix.from_columns(columns, rows=rows)
+        if (bareiss_rank(m) == cols) == injective:
+            return m
+
+
+class TestValidateNonSquareMono:
+    """``validate`` flags exactly the non-injective transitions of mono
+    diagrams whose ranks change from stage to stage."""
+
+    RANKS = [2, 3, 5, 8, 16]
+
+    @pytest.mark.parametrize("kinds", range(16))
+    def test_growing_ranks(self, kinds):
+        """Bit ``t - 1`` of ``kinds`` says whether transition ``t`` is
+        injective, so the sixteen cases mix the two kinds every way."""
+        rng = random.Random(f"nonsquare:{kinds}")
+        transitions = [
+            tall_map(rng, r1, r0, bool(kinds >> t & 1))
+            for t, (r0, r1) in enumerate(zip(self.RANKS, self.RANKS[1:]))
+        ]
+        want = [
+            f"non-injective transition {t}"
+            for t, m in enumerate(transitions, start=1)
+            if bareiss_rank(m) < m.cols
+        ]
+        assert len(want) == 4 - bin(kinds).count("1")
+        report = validate(SequenceDiagram("plain", self.RANKS, transitions, True, None))
+        assert report.violations == want
+
+    def test_shrinking_ranks_are_never_injective(self):
+        rng = random.Random("shrinking")
+        ranks = self.RANKS[::-1]
+        transitions = [random_matrix(rng, r1, r0, 9) for r0, r1 in zip(ranks, ranks[1:])]
+        report = validate(SequenceDiagram("plain", ranks, transitions, True, None))
+        assert report.violations == [f"non-injective transition {t}" for t in range(1, 5)]
 
 
 def brute_solutions(k, t, bound, nonneg):
