@@ -9,7 +9,7 @@ from .confluence import (
     search_confluence,
     verify_certificate,
 )
-from .diagrams import SequenceDiagram, transition, unroll, validate
+from .diagrams import SequenceDiagram, transition, validate
 from .invariants import SupernaturalNumber, colimit_rank, noniso_evidence, steinitz
 from .matrices import Matrix, kernel_basis, snf, solve_matrix_eq
 
@@ -30,7 +30,6 @@ __all__ = [
     "solve_matrix_eq",
     "steinitz",
     "transition",
-    "unroll",
     "validate",
     "verify_certificate",
 ]

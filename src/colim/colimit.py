@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Sequence
 
-from .diagrams import SequenceDiagram, push, transition
+from .diagrams import SequenceDiagram, _walk, push, transition
 from .matrices import Matrix, _integers
 
 
@@ -61,10 +61,6 @@ class Trilean:
     def is_yes(self) -> bool:
         return self.kind == "yes"
 
-    @property
-    def is_no(self) -> bool:
-        return self.kind == "no"
-
     def __str__(self) -> str:
         if self.kind == "yes":
             return f"yes({self.stage})"
@@ -83,16 +79,6 @@ def _check(seq: SequenceDiagram, last: int, *elements: ColimitElement) -> None:
             raise ValueError(
                 f"vector length {len(e.vec)} does not match rank {rank} at stage {e.stage}"
             )
-
-
-def _walk(seq: SequenceDiagram, start: int, vecs: list, horizon: int):
-    """Yield ``(k, vecs pushed forward to stage k)`` for ``k = start ..
-    horizon``, taking each step only when the caller asks for it."""
-    for k in range(start, horizon + 1):
-        yield k, vecs
-        if k < horizon:
-            step = seq._step(k)
-            vecs = [step.apply(v) for v in vecs]
 
 
 def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitElement:

@@ -11,7 +11,8 @@ the period covers is available without building a longer copy.
 An invalid diagram has no stages: ``rank_at`` and ``_step``, through
 which every walk, query, composite and induced map reads a diagram,
 raise ``invalid diagram: <first violation>`` on a diagram that
-:func:`validate` rejects.
+:func:`validate` rejects.  No other module calls ``_step``: they move
+along a diagram by :func:`transition`, :func:`push` and ``_walk``.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "clean"
-        return "\n".join(self.violations)
-
 
 def validate(seq: SequenceDiagram) -> ValidationReport:
     """Check every diagram invariant; violations are data, not faults.
@@ -208,14 +204,11 @@ def push(seq: SequenceDiagram, i: int, j: int, vec) -> tuple:
     return vec
 
 
-def unroll(seq: SequenceDiagram, horizon: int) -> SequenceDiagram:
-    """Non-periodic diagram of length ``horizon`` repeating the declared
-    period; identity on non-periodic input with ``horizon == length``,
-    an error past an undeclared tail."""
-    if horizon < seq.length:
-        raise ValueError(f"horizon {horizon} below current length {seq.length}")
-    ranks = [seq.rank_at(i) for i in range(1, horizon + 1)]
-    if seq.period is None and horizon == seq.length:
-        return seq
-    transitions = [seq._step(k) for k in range(1, horizon)]
-    return SequenceDiagram(seq.mode, ranks, transitions, seq.mono_required, None)
+def _walk(seq: SequenceDiagram, start: int, vecs: list, horizon: int):
+    """Yield ``(k, vecs pushed forward to stage k)`` for ``k = start ..
+    horizon``, taking each step only when the caller asks for it."""
+    for k in range(start, horizon + 1):
+        yield k, vecs
+        if k < horizon:
+            step = seq._step(k)
+            vecs = [step.apply(v) for v in vecs]

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagrams import SequenceDiagram, validate
+from .diagrams import SequenceDiagram, transition, validate
 
 INFINITE = math.inf
 
@@ -118,7 +118,7 @@ def _multipliers(seq: SequenceDiagram) -> list:
         raise ValueError("supernatural invariants need a rank-1 sequence")
     ms = []
     for t in range(1, seq.length):
-        x = seq._step(t)[0, 0]
+        x = transition(seq, t, t + 1)[0, 0]
         if x == 0:
             raise ValueError(f"zero multiplier at transition {t}")
         ms.append(abs(x))

@@ -19,6 +19,7 @@ X2 = str(FIXTURES / "x2.diag")
 X3 = str(FIXTURES / "x3.diag")
 X4 = str(FIXTURES / "x4.diag")
 FIB = str(FIXTURES / "fib.diag")
+PLANE = str(FIXTURES / "plane.diag")
 X2_X4 = str(FIXTURES / "x2_x4.cert")
 FIB_SELF = str(FIXTURES / "fib_self.cert")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -324,6 +325,28 @@ class TestMapAndQueries:
         assert code == 0
         assert "answer: yes" in out
 
+    def test_map_with_a_rejected_certificate(self, capsys):
+        code, out, _ = run(capsys, "map", X2, X3, X2_X4, "--element", "1:1")
+        assert code == 1
+        assert out == ["status: rejected", "failure: equation (2) fails at level n=1: f_2*g_1 != b-transition"]
+
+    def test_equal_on_a_mono_diagram_says_no(self, capsys):
+        code, out, _ = run(capsys, "equal", X2, "--e1", "1:1", "--e2", "1:2")
+        assert code == 0
+        assert out == ["answer: no"]
+
+    def test_periodic_default_horizon(self, capsys):
+        code, out, _ = run(capsys, "divisible", X3, "--element", "1:1", "--m", "2")
+        assert code == 0
+        assert out == ["answer: unknown", "horizon: 12"]
+
+    def test_non_periodic_default_horizon_is_the_length(self, capsys, tmp_path):
+        path = tmp_path / "x3.diag"
+        path.write_text(emit_diagram(rank1([3, 3])))
+        code, out, _ = run(capsys, "divisible", str(path), "--element", "1:1", "--m", "2")
+        assert code == 0
+        assert out == ["answer: unknown", "horizon: 3"]
+
     @pytest.mark.parametrize("argv", [
         ("equal", X2, "--e1", "1:1", "--e2", "2:2"),
         ("cone", FIB, "--element", "1:1,-1"),
@@ -342,6 +365,11 @@ class TestInvariants:
         assert code == 0
         assert "rank: 1" in out
         assert "steinitz: 2^inf" in out
+
+    def test_single_without_steinitz(self, capsys):
+        code, out, _ = run(capsys, "invariants", PLANE)
+        assert code == 0
+        assert out == ["rank: 2", "rank_stabilized: true"]
 
     def test_pair_conclusive(self, capsys):
         code, out, _ = run(capsys, "invariants", X2, X3)

@@ -30,6 +30,10 @@ X2_X4_CERT = ConfluenceCertificate(
 )
 
 
+def scalars(*values):
+    return [Matrix([[v]]) for v in values]
+
+
 def truncate_certificate(cert, depth):
     """The first ``depth >= 2`` levels of a certificate, without its
     periodic block."""
@@ -153,6 +157,20 @@ class TestVerify:
             assert verify_certificate(seqA, seqB, cert).accepted
             for m in range(2, depth + 1):
                 assert verify_certificate(seqA, seqB, truncate_certificate(cert, m)).accepted
+
+    @pytest.mark.parametrize("seqB, cert, failure", [
+        (X4, ConfluenceCertificate([1], [1], scalars(1), []), "certificate depth 1 < 2"),
+        (X4, ConfluenceCertificate([1, 3], [1], scalars(1, 1), scalars(4)),
+         "index and map counts disagree with the certificate depth"),
+        (X4, ConfluenceCertificate([1, 3], [1, 2], scalars(1, 1), scalars(4, 4, 4)),
+         "expected 1 (or 2) backward maps, got 3"),
+        (rank1([4, 4]), ConfluenceCertificate([1, 3], [1, 5], scalars(1, 1), scalars(4)),
+         "certificate stages exceed the diagram truncations"),
+    ])
+    def test_structural_rejection(self, seqB, cert, failure):
+        report = verify_certificate(X2, seqB, cert)
+        assert not report.accepted
+        assert report.failures == [failure]
 
     def test_periodic_certificate_accepted(self):
         cert = ConfluenceCertificate(
@@ -501,10 +519,6 @@ class TestColumnGcdScreen:
         inconsistent = [refuted for k, t, refuted in seen if not solve_matrix_eq(k, t).consistent]
         assert len(inconsistent) >= 500
         assert 2 * sum(inconsistent) >= len(inconsistent)
-
-
-def scalars(*values):
-    return [Matrix([[v]]) for v in values]
 
 
 ONE = rank1([1, 1], period=(0, 1))

@@ -10,7 +10,7 @@ from colim.colimit import (
     eventual_equalizer,
     factor_through_stage,
 )
-from colim.diagrams import SequenceDiagram, transition, unroll, validate
+from colim.diagrams import SequenceDiagram, transition, validate
 from colim.matrices import Matrix, is_injective, kernel_basis
 
 from conftest import random_diagram, random_matrix, rank1
@@ -117,33 +117,6 @@ class TestTransition:
                     assert is_injective(transition(seq, i, j))
 
 
-class TestUnroll:
-    def test_periodic_rank1(self):
-        got = unroll(rank1([2], period=(0, 1)), 4)
-        assert got.period is None
-        assert [m[0, 0] for m in got.transitions] == [2, 2, 2]
-
-    def test_prefix_then_period(self):
-        got = unroll(rank1([3, 2], period=(1, 1)), 4)
-        assert [m[0, 0] for m in got.transitions] == [3, 2, 2]
-
-    def test_identity_on_non_periodic(self):
-        seq = rank1([2, 3])
-        assert unroll(seq, 3) is seq
-
-    def test_horizon_below_length(self):
-        with pytest.raises(ValueError):
-            unroll(rank1([2, 3]), 2)
-
-    def test_periodic_stages_past_truncation(self):
-        seq = rank1([2], period=(0, 1))
-        assert seq.has_stage(6) and seq.rank_at(6) == 1
-        assert transition(seq, 2, 6) == Matrix([[16]])
-        got = unroll(seq, 6)
-        assert got.length == 6 and validate(got).ok
-        assert seq.period == (0, 1) and seq.length == 2
-
-
 def random_periodic(rng, mode="plain"):
     """Random valid periodic diagram: prefix 0-1, period 1-2, ranks 1-3,
     storing the covered transitions and sometimes one more period."""
@@ -189,16 +162,24 @@ def factor_from_identity(seq, images, horizon):
 class TestPeriodicTail:
     H = 12
 
-    def test_transition_matches_unrolled_and_cycled(self, rng):
+    def test_transition_matches_cycled_steps(self, rng):
         for _ in range(30):
             seq = random_periodic(rng)
             assert validate(seq).ok
-            flat = unroll(seq, self.H)
-            assert list(flat.transitions) == cycled_steps(seq, self.H - 1)
-            assert [seq.rank_at(i) for i in range(1, self.H + 1)] == list(flat.ranks)
+            steps = cycled_steps(seq, self.H - 1)
+            assert [seq.rank_at(i) for i in range(2, self.H + 1)] == [m.rows for m in steps]
             for i in range(1, self.H + 1):
+                want = Matrix.identity(seq.rank_at(i))
                 for j in range(i, self.H + 1):
-                    assert transition(seq, i, j) == transition(flat, i, j)
+                    assert transition(seq, i, j) == want
+                    if j < self.H:
+                        want = steps[j - 1] * want
+
+    def test_periodic_stages_past_truncation(self):
+        seq = rank1([2], period=(0, 1))
+        assert seq.has_stage(6) and seq.rank_at(6) == 1
+        assert transition(seq, 2, 6) == Matrix([[16]])
+        assert seq.period == (0, 1) and seq.length == 2
 
     def test_single_step_is_the_stored_matrix(self, rng):
         for _ in range(10):

@@ -4,7 +4,8 @@
 diagram that ``validate`` rejects, with ``invalid diagram: `` and the
 first violation, and every reader of stages goes through them: so each
 reader raises that text on each kind of violation and answers nothing.
-A guard keeps the transitions read through ``_step`` only."""
+A guard keeps the transitions read through ``_step`` only, and ``_step``
+called in ``diagrams.py`` only."""
 
 import ast
 import random
@@ -21,9 +22,17 @@ from colim.colimit import (
     factor_through_stage,
     pushforward,
 )
-from colim.confluence import BACKWARD, FORWARD, ConfluenceCertificate, induced_map
-from colim.diagrams import SequenceDiagram, push, transition, unroll, validate
-from colim.invariants import colimit_rank, steinitz
+from colim.confluence import (
+    BACKWARD,
+    FORWARD,
+    ConfluenceCertificate,
+    SearchBudget,
+    induced_map,
+    search_confluence,
+    verify_certificate,
+)
+from colim.diagrams import SequenceDiagram, push, transition, validate
+from colim.invariants import colimit_rank, noniso_evidence, steinitz
 from colim.matrices import Matrix, is_injective
 
 from conftest import random_diagram, random_matrix, rank1
@@ -134,7 +143,6 @@ def readers(rng, seq):
         "rank_at": lambda: seq.rank_at(i),
         "transition": lambda: transition(seq, i, j),
         "push": lambda: push(seq, i, j, e.vec),
-        "unroll": lambda: unroll(seq, n + rng.randint(0, 2)),
         "pushforward": lambda: pushforward(seq, e, j),
         "equal_at": lambda: equal_at(seq, e, ColimitElement(1, [0] * seq.ranks[0]), horizon),
         "eventual_equalizer": lambda: eventual_equalizer(seq, i, j, Matrix.zero(1, 1), horizon),
@@ -173,7 +181,7 @@ class TestEveryReaderRefuses:
             for seq in invalid_diagrams(random.Random(kind), kind):
                 names.update(readers(random.Random(0), seq))
         assert {"cone_member", "colimit_rank", "eventual_equalizer"} <= names
-        assert len(names) == 14
+        assert len(names) == 13
 
 
 class TestAnswersThatContradictedThemselves:
@@ -199,23 +207,51 @@ class TestAnswersThatContradictedThemselves:
             steinitz(seq)
 
 
-class TestStepsGoThroughStep:
-    """Only ``diagrams.py`` reads a diagram's ``transitions``, so every
-    step is taken by ``SequenceDiagram._step``, which refuses an invalid
-    diagram; ``formats.emit_diagram`` writes them out as stored."""
+class TestLibraryEntryPoints:
+    """The library entry points that take two diagrams name the invalid
+    one, A before B."""
 
-    ALLOWED = {("formats.py", "emit_diagram")}
+    A = SequenceDiagram("plain", [1, 1], [Matrix([[0]])], True)
+    B = rank1([2, 3], period=(0, 1))
+    WHY_A = "non-injective transition 1"
+    WHY_B = "transition 2 breaks the declared period (differs from transition 1)"
+
+    def test_verify_certificate_lists_both(self):
+        cert = ConfluenceCertificate([1, 2], [1, 2], [Matrix([[1]])] * 2, [Matrix([[1]])])
+        report = verify_certificate(self.A, self.B, cert)
+        assert not report.accepted
+        assert report.failures == [f"diagram A is invalid: {self.WHY_A}", f"diagram B is invalid: {self.WHY_B}"]
+
+    def test_search_confluence_names_the_first(self):
+        with pytest.raises(ValueError) as exc:
+            search_confluence(self.A, self.B, SearchBudget(2, 2, 3, 100))
+        assert str(exc.value) == f"invalid diagram: {self.WHY_A}"
+
+    def test_noniso_evidence_names_b(self):
+        with pytest.raises(ValueError) as exc:
+            noniso_evidence(rank1([2, 2], period=(0, 1)), self.B)
+        assert str(exc.value) == f"diagram B is invalid: {self.WHY_B}"
+
+
+class TestStepsGoThroughStep:
+    """Only ``diagrams.py`` reads a diagram's ``transitions`` or calls
+    ``_step``, so every step is taken by ``SequenceDiagram._step``, which
+    refuses an invalid diagram; ``formats.emit_diagram`` writes the
+    transitions out as stored."""
+
+    ALLOWED = {("formats.py", "emit_diagram", "transitions")}
 
     @staticmethod
     def reads(path):
-        """``(function, line)`` of each ``.transitions`` read in ``path``."""
+        """``(function, attribute, line)`` of each ``.transitions`` and
+        ``._step`` read in ``path``."""
         found = []
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = node.name
-            if isinstance(node, ast.Attribute) and node.attr == "transitions":
-                found.append((where, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr in ("transitions", "_step"):
+                found.append((where, node.attr, node.lineno))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
@@ -226,8 +262,11 @@ class TestStepsGoThroughStep:
     def test_no_module_but_diagrams_reads_transitions(self, path):
         if path.name == "diagrams.py":
             return
-        bad = [(f, line) for f, line in self.reads(path) if (path.name, f) not in self.ALLOWED]
+        bad = [(f, attr, line) for f, attr, line in self.reads(path) if (path.name, f, attr) not in self.ALLOWED]
         assert bad == []
 
     def test_the_allowed_read_is_there(self):
-        assert [f for f, _ in self.reads(SRC / "formats.py")] == ["emit_diagram"]
+        assert [(f, attr) for f, attr, _ in self.reads(SRC / "formats.py")] == [("emit_diagram", "transitions")]
+
+    def test_both_reads_are_found_in_diagrams(self):
+        assert {attr for _, attr, _ in self.reads(SRC / "diagrams.py")} == {"transitions", "_step"}

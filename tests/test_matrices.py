@@ -284,6 +284,23 @@ class TestRankOverRationals:
     def test_wide_entries_match_fraction_free_oracle(self, m):
         assert_rank_agrees(m)
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_kept_rows_are_divided_by_their_content(self, monkeypatch, n):
+        """A first row of content ``2**1000`` is kept as ``(1, ..., 1)``:
+        no later clearing step takes a gcd with a 1,000-bit operand."""
+        rng = random.Random(f"content:{n}")
+        rows = [[2**1000] * n] + random_matrix(rng, n - 1, n, 9).to_lists()
+        widest = []
+
+        def recording_gcd(*args):
+            if len(args) == 2:  # a clearing step's gcd(p, b)
+                widest.append(max(abs(x).bit_length() for x in args))
+            return gcd(*args)
+
+        monkeypatch.setattr(matrices, "gcd", recording_gcd)
+        assert_rank_agrees(Matrix(rows))
+        assert 0 < max(widest) < 1000
+
     @pytest.mark.parametrize("want", [32, 24])
     def test_32x32_with_64_bit_entries(self, monkeypatch, want):
         """Every number the elimination takes a gcd of, so every row
