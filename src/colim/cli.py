@@ -179,54 +179,39 @@ def _cmd_divisible(args) -> int:
     return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
-def _print_single_invariants(label: str, seq, s) -> None:
-    """Print the rank and Steinitz lines of ``seq``; ``s`` is its Steinitz
-    invariant or the ``ValueError`` that says why it has none, for a pair as
-    ``EvidenceReport.steinitz`` gives it over the pair's one coprime base."""
-    prefix = f"{label}." if label else ""
-    try:
-        r, stab = invariants.colimit_rank(seq)
-    except ValueError as exc:
-        print(f"{prefix}rank: unavailable ({exc})")
-    else:
-        print(f"{prefix}rank: {r}")
-        print(f"{prefix}rank_stabilized: {'true' if stab else 'false'}")
-    if isinstance(s, ValueError):
-        s = f"unavailable ({s})"
-    if all(n == 1 for n in seq.ranks):
-        print(f"{prefix}steinitz: {s}")
-
-
-def _print_unproven_notes(numbers) -> None:
-    """Note each factor not proven prime of the Steinitz invariants among
-    ``numbers`` (the others are the errors that say why a side has none)."""
-    unproven = {n for s in numbers if not isinstance(s, ValueError) for n in s.unproven}
-    for n in sorted(unproven):
-        print(f"note: {n} is not proven prime; printed unsplit")
-
-
 def _cmd_invariants(args) -> int:
-    seq = _load(parse_diagram, args.diagram_a)
+    seqs = [_load(parse_diagram, args.diagram_a)]
     if args.diagram_b is None:
+        labels = [""]
         try:
-            s = invariants.steinitz(seq)
+            numbers = [invariants.steinitz(seqs[0])]
         except ValueError as exc:
-            s = exc
-        _print_single_invariants("", seq, s)
-        _print_unproven_notes([s])
-        return EXIT_OK
-    seqs = (seq, _load(parse_diagram, args.diagram_b))
-    report = invariants.noniso_evidence(*seqs)
-    numbers = report.steinitz()
-    for label, seq, s in zip("AB", seqs, numbers):
-        _print_single_invariants(label, seq, s)
-    if report.empty:
-        print("evidence: none")
-    for entry in report.entries:
-        print(f"evidence: {entry.strength} {entry.message}")
-    for note in report.notes:
-        print(f"note: {note}")
-    _print_unproven_notes(numbers)
+            numbers = [exc]
+    else:
+        labels = ["A.", "B."]
+        seqs.append(_load(parse_diagram, args.diagram_b))
+        report = invariants.noniso_evidence(*seqs)
+        # one coprime base for both sides: no element is factored twice
+        numbers = report.steinitz()
+    for label, seq, s in zip(labels, seqs, numbers):
+        try:
+            r, stab = invariants.colimit_rank(seq)
+        except ValueError as exc:
+            print(f"{label}rank: unavailable ({exc})")
+        else:
+            print(f"{label}rank: {r}")
+            print(f"{label}rank_stabilized: {'true' if stab else 'false'}")
+        if all(n == 1 for n in seq.ranks):
+            print(f"{label}steinitz: {f'unavailable ({s})' if isinstance(s, ValueError) else s}")
+    if args.diagram_b is not None:
+        if report.empty:
+            print("evidence: none")
+        for entry in report.entries:
+            print(f"evidence: {entry.strength} {entry.message}")
+        for note in report.notes:
+            print(f"note: {note}")
+    for n in sorted({n for s in numbers if not isinstance(s, ValueError) for n in s.unproven}):
+        print(f"note: {n} is not proven prime; printed unsplit")
     return EXIT_OK
 
 

@@ -316,6 +316,10 @@ def _column_gcds_refute(k: Matrix, contents: tuple) -> bool:
     is an integer combination of column ``c`` of ``k``, so the content
     of column ``c`` of ``t`` is a multiple of ``gcd(k[:, c])`` (zero
     when that gcd is zero)."""
+    # the loop stops at the first refuting column: written as ``any`` over
+    # ``_column_contents(k)`` it takes every gcd first, and ``search``'s
+    # op_p50 rose from 0.81-0.88 ms to 0.91-0.97 ms (six alternated pairs,
+    # 2 vCPU, CPython 3.11)
     for kc, tg in zip(zip(*k.entries) if k.rows else [()] * k.cols, contents):
         g = math.gcd(*kc)
         if tg % g if g else tg:

@@ -311,17 +311,15 @@ def colimit_rank(seq: SequenceDiagram) -> tuple:
     """``(rank, stabilized)`` for a truncation declared mono.
 
     Under injective transitions ranks are nondecreasing, so the last
-    stored rank bounds the colimit rank from below; it is exact when a
-    period with constant rank is declared.
+    stored rank bounds the colimit rank from below.  ``stabilized`` is
+    true exactly when a period is declared, and the rank is then exact: a
+    valid period closes on ranks (its last step ends at the rank its first
+    step starts from), and a nondecreasing run that returns to its start
+    is constant, so every stage past the prefix has the last stored rank.
     """
     if not seq.mono_required:
         raise ValueError("diagram not declared mono")
-    last = seq.rank_at(seq.length)
-    stabilized = False
-    if seq.period is not None:
-        prefix, _ = seq.period
-        stabilized = all(seq.rank_at(i) == last for i in range(prefix + 1, seq.length + 1))
-    return last, stabilized
+    return seq.rank_at(seq.length), seq.period is not None
 
 
 @dataclass(frozen=True)
@@ -400,7 +398,7 @@ def noniso_evidence(seqA: SequenceDiagram, seqB: SequenceDiagram) -> EvidenceRep
         expsA, expsB = base.supernatural(seqA, msA), base.supernatural(seqB, msB)
         infinite = [{q for q, e in exps.items() if e == INFINITE} for exps in (expsA, expsB)]
         if infinite[0] != infinite[1]:
-            sA, sB = (SupernaturalNumber.from_dict(base.primes(e)) for e in (expsA, expsB))
+            sA, sB = report.steinitz()
             report.entries.append(
                 Evidence(
                     CONCLUSIVE,

@@ -91,6 +91,11 @@ class TestValidate:
         assert code == 2
         assert "error: vector length" in err
 
+    def test_element_stage_zero_is_a_user_error(self, capsys):
+        code, out, err = run(capsys, "equal", X2, "--e1", "0:1", "--e2", "1:1")
+        assert (code, out) == (2, [])
+        assert err == "error: element stages are 1-based\n"
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "equal", str(FIXTURES / "bad_float.diag"),
                            "--e1", "1:1", "--e2", "1:1")
@@ -494,6 +499,27 @@ class TestInvariants:
         if not isinstance(a, str):
             (a,) = write_diagrams(tmp_path, a)
         assert run(capsys, "invariants", a, b)[:2] == (0, lines)
+
+
+class TestInvariantsOneAndTwo:
+    """``invariants D`` prints the lines that ``invariants D E`` prints for
+    ``D`` under the label ``A.``."""
+
+    @pytest.mark.parametrize("other", [X2, FIB], ids=["x2", "fib"])
+    @pytest.mark.parametrize("d", [
+        X2, X3, X4, FIB, PLANE,
+        rank1([0, 2], mono=False),
+        rank1([6, 10], mono=False, period=(1, 1)),
+        rank1([12, 5], period=(1, 1)),
+    ], ids=["x2", "x3", "x4", "fib", "plane", "zero", "non_mono_periodic", "prefix_periodic"])
+    def test_single_lines_are_the_pair_a_lines(self, capsys, tmp_path, d, other):
+        if not isinstance(d, str):
+            (d,) = write_diagrams(tmp_path, d)
+        code, single, _ = run(capsys, "invariants", d)
+        assert code == 0
+        code, pair, _ = run(capsys, "invariants", d, other)
+        assert code == 0
+        assert single == [line[2:] for line in pair if line.startswith("A.")]
 
 
 def write_diagrams(tmp_path, *seqs):

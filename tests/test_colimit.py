@@ -145,6 +145,16 @@ class TestConeAndDivisible:
         with pytest.raises(ValueError):
             divisible(X2, ColimitElement(1, [1]), 0, 5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ColimitElement(0, (1,)), "stages are 1-based"),
+        (lambda: eventual_equalizer(X2, 2, 1, Matrix([[1]]), 5), "need 1 <= i <= j"),
+        (lambda: factor_through_stage(X2, [], 5), "need at least one image"),
+    ], ids=["stage_0", "equalizer_i_after_j", "no_images"])
+    def test_bad_query_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_divisibility_witness_quotient(self):
         got = divisible(X2, ColimitElement(1, [3]), 4, 6)
         assert got == Trilean.yes(3)  # 3 * 2^2 = 12 = 4 * 3

@@ -122,6 +122,7 @@ class TestParseDiagram:
         ({"mode": "plain", "ranks": []}, "a diagram needs at least one stage"),
         ({"mode": "plain", "ranks": [1], "mono": "yes"}, "mono_required must be a bool, got 'yes'"),
         ({"mode": "plain", "ranks": [1], "mono": 1}, "mono_required must be a bool, got 1"),
+        ({"mode": "plain", "ranks": [1, -1]}, "ranks must be >= 0"),
     ])
     def test_diagram_fields_checked_by_the_constructor(self, doc, message):
         with pytest.raises(ValueError) as exc:
@@ -130,6 +131,21 @@ class TestParseDiagram:
         with pytest.raises(FormatError) as exc:
             parse_diagram(json.dumps(doc))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("period", [(0, 0), (-1, 1)])
+    def test_period_checked_by_the_constructor(self, period):
+        message = "period must be (prefix >= 0, length >= 1)"
+        with pytest.raises(ValueError) as exc:
+            SequenceDiagram("plain", [1], [], False, period)
+        assert str(exc.value) == message
+        doc = {"mode": "plain", "ranks": [1], "period": {"prefix_len": period[0], "period_len": period[1]}}
+        with pytest.raises(FormatError) as exc:
+            parse_diagram(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(FormatError, match="^expected an object at document$"):
+            parse_diagram("[]")
 
     @pytest.mark.parametrize("parse", [parse_diagram, parse_certificate])
     @pytest.mark.parametrize("field", [

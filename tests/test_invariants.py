@@ -6,7 +6,7 @@ from sympy import factorint, isprime, prevprime, randprime
 
 from colim import invariants
 from colim.confluence import SearchBudget, search_confluence
-from colim.diagrams import SequenceDiagram
+from colim.diagrams import SequenceDiagram, validate
 from colim.invariants import (
     CONCLUSIVE,
     INDICATIVE,
@@ -19,9 +19,9 @@ from colim.invariants import (
     noniso_evidence,
     steinitz,
 )
-from colim.matrices import Matrix
+from colim.matrices import Matrix, is_injective
 
-from conftest import rank1
+from conftest import random_matrix, rank1
 
 INF = math.inf
 
@@ -128,6 +128,44 @@ class TestColimitRank:
     def test_refuses_non_mono(self):
         with pytest.raises(ValueError, match="^diagram not declared mono$"):
             colimit_rank(rank1([2, 2], mono=False))
+
+    def test_a_declared_period_stabilizes_the_last_rank(self):
+        # a valid period closes on ranks and injective steps never lower
+        # one, so every stage past the prefix has the last stored rank
+        rng = random.Random(2310)
+        kinds = set()
+        for _ in range(300):
+            seq = random_mono_periodic(rng)
+            assert validate(seq).ok
+            prefix, length = seq.period
+            last = seq.rank_at(seq.length)
+            assert colimit_rank(seq) == (last, True)
+            for i in range(prefix + 1, seq.length + 3 * length + 1):
+                assert seq.rank_at(i) == last
+            plain = SequenceDiagram(seq.mode, seq.ranks, seq.transitions, True, None)
+            assert colimit_rank(plain) == (last, False)
+            kinds.add((seq.ranks[0] < last, 0 in seq.ranks, length))
+        # rank growth in the prefix, rank-0 stages, and each period length occur
+        assert {k[0] for k in kinds} == {k[1] for k in kinds} == {False, True}
+        assert {k[2] for k in kinds} == {1, 2, 3}
+
+
+def random_mono_periodic(rng):
+    """A valid mono diagram: ranks 0-3 growing over a prefix of 0-3 steps,
+    then a period of 1-3 steps at the last of them, stored up to two steps
+    past its first cycle."""
+    prefix, length = rng.randint(0, 3), rng.randint(1, 3)
+    ranks = sorted(rng.randint(0, 3) for _ in range(prefix + 1))
+    ranks += [ranks[-1]] * (length + rng.randint(0, 2))
+    steps = []
+    for t in range(len(ranks) - 1):
+        if t >= prefix + length:
+            steps.append(steps[prefix + (t - prefix) % length])
+            continue
+        while not is_injective(m := random_matrix(rng, ranks[t + 1], ranks[t], 2)):
+            pass
+        steps.append(m)
+    return SequenceDiagram("plain", ranks, steps, True, (prefix, length))
 
 
 class TestNonIsoEvidence:

@@ -707,6 +707,15 @@ class TestSolveMatrixEq:
         second = [x.to_lists() for x in solve_matrix_eq(k, t, "any", 2)]
         assert first == second
 
+    @pytest.mark.parametrize("constraint, bound, message", [
+        ("positive", 1, "unknown constraint 'positive'"),
+        ("any", -1, "entry_bound must be >= 0"),
+    ])
+    def test_bad_constraint_or_bound_rejected(self, constraint, bound, message):
+        with pytest.raises(ValueError) as exc:
+            solve_matrix_eq(Matrix([[1]]), Matrix([[1]]), constraint, bound)
+        assert str(exc.value) == message
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_matrix_eq(Matrix([[1, 2]]), Matrix([[1]]), "any", 1)
@@ -753,6 +762,18 @@ def test_product_with_zero_inner_dimension():
     assert Matrix.zero(2, 0) * Matrix.zero(0, 0) == Matrix.zero(2, 0)
 
 
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match="^row 1 has length 1, expected 2$"):
+        Matrix([[1, 2], [3]])
+
+
+def test_product_refuses_a_shape_mismatch_and_a_scalar():
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(1x2\) \* \(1x2\)$"):
+        Matrix([[1, 2]]) * Matrix([[1, 2]])
+    with pytest.raises(TypeError):
+        Matrix([[1]]) * 3
+
+
 def triple_loop_product(a, b):
     """``a * b`` as lists, entry by entry: the textbook triple loop."""
     out = [[0] * b.cols for _ in range(a.rows)]
@@ -795,6 +816,7 @@ class TestFromColumns:
         ([[1], [2, 3]], "column 1 has length 2, expected 1"),
         ([[1, 2], [3]], "column 1 has length 1, expected 2"),
         ([[1, 2], [3, 4], []], "column 2 has length 0, expected 2"),
+        ([], "need explicit row count for a zero-column matrix"),
     ])
     def test_ragged_columns_are_refused(self, columns, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
