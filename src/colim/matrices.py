@@ -376,12 +376,8 @@ def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = Fa
     """All ``rows x cols`` matrices with entries within the bound, in
     deterministic position-lexicographic order with small magnitudes first."""
     vals = matrix_values(entry_bound, nonnegative)
-    n = rows * cols
-    if n == 0:
-        yield Matrix.zero(rows, cols)
-        return
-    for flat in itertools.product(vals, repeat=n):
-        yield Matrix._make(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)), cols)
+    for entries in itertools.product(itertools.product(vals, repeat=cols), repeat=rows):
+        yield Matrix._make(entries, cols)
 
 
 def _reduce(k: Matrix) -> tuple:

@@ -749,6 +749,29 @@ def test_iter_matrices_small_magnitude_first():
     assert [row(m, 0) for m in seq] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def flat_product_order(rows, cols, entry_bound, nonnegative):
+    """The entries of each matrix in ``iter_matrices``'s order as first
+    written: one flat product over all positions, sliced into rows."""
+    vals = matrices.matrix_values(entry_bound, nonnegative)
+    for flat in itertools.product(vals, repeat=rows * cols):
+        yield tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+@pytest.mark.parametrize("entry_bound", [1, 2, 3])
+def test_iter_matrices_keeps_the_flat_product_order(entry_bound, nonnegative):
+    # the longest enumerations (7**9 matrices at 3x3, bound 3) are compared
+    # on a prefix that runs through every value at the last five positions
+    limit = 20_000
+    for rows, cols in itertools.product(range(4), repeat=2):
+        got = iter_matrices(rows, cols, entry_bound, nonnegative)
+        old = flat_product_order(rows, cols, entry_bound, nonnegative)
+        pairs = list(itertools.islice(itertools.zip_longest(got, old), limit))
+        assert all((m.rows, m.cols, m.entries) == (rows, cols, entries) for m, entries in pairs)
+        count = (entry_bound + 1 if nonnegative else 2 * entry_bound + 1) ** (rows * cols)
+        assert len(pairs) == min(count, limit)
+
+
 def test_matrix_rejects_non_integers():
     with pytest.raises(ValueError):
         Matrix([[1.5]])
