@@ -6,7 +6,9 @@ kernel basis, Smith normal form with unimodular transforms and the
 bounded enumerator for the integer solutions of ``X * K = T`` all call
 it, and it keeps every entry polynomial in the input size.  Rank
 questions are answered over the rationals instead, by fraction-free
-elimination on primitive rows, which builds no lattice basis.
+elimination on primitive rows, which builds no lattice basis.  Whether a
+kernel is zero is such a rank question, so the kernel of an injective
+map is answered by rank alone and builds no lattice either.
 """
 
 from __future__ import annotations
@@ -259,20 +261,30 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         return m, Matrix.identity(rows), Matrix.identity(cols)
     # one block [[x, u], [v, 0]] with u*m*v = x; its transpose is the
     # block of v^T * m^T * u^T = x^T, so one transpose flips the problem
-    block = [xr + ur for xr, ur in zip(m.to_lists(), _identity_rows(rows))]
-    block += [vr + [0] * rows for vr in _identity_rows(cols)]
+    eye = _identity_rows(rows + cols)
+    block = [[*x, *e[cols:]] for x, e in zip(m.entries, eye[cols:])]
+    block += eye[:cols]
     flipped = False
     while True:
         top = block[:rows]
         pivots = _echelon(top)
         block[:rows] = top
-        diag = [top[i][c] for i, c in enumerate(pivots) if c < cols]
-        if all(c == i and not any(top[i][i + 1 : cols]) for i, c in enumerate(pivots[: len(diag)])):
-            bad = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
-                        if diag[j] % diag[i]), None)
-            if bad is None:
+        diag = []
+        for i, c in enumerate(pivots):
+            if c >= cols:
                 break
-            i, j = bad
+            row = top[i]
+            if c != i or any(row[i + 1 : cols]):
+                diag = None
+                break
+            diag.append(row[i])
+        if diag is not None:
+            # divisibility is transitive, so the chain of neighbours
+            # decides whether any pair fails
+            if all([b % a == 0 for a, b in zip(diag, diag[1:])]):
+                break
+            i, j = next((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+                        if diag[j] % diag[i])
             block[i] = [p + q for p, q in zip(block[i], block[j])]
         block = list(zip(*block))
         rows, cols = cols, rows
@@ -280,10 +292,11 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if flipped:
         block = list(zip(*block))
         rows, cols = cols, rows
+    top, bottom = block[:rows], block[rows:]
     return (
-        Matrix._make(tuple(tuple(r[:cols]) for r in block[:rows]), cols),
-        Matrix._make(tuple(tuple(r[cols:]) for r in block[:rows]), rows),
-        Matrix._make(tuple(tuple(r[:cols]) for r in block[rows:]), cols),
+        Matrix._make(tuple([tuple(r[:cols]) for r in top]), cols),
+        Matrix._make(tuple([tuple(r[cols:]) for r in top]), rows),
+        Matrix._make(tuple([tuple(r[:cols]) for r in bottom]), cols),
     )
 
 
@@ -338,16 +351,23 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
-    Zero columns exactly when ``m`` is injective.  The columns are the
-    left-kernel basis of ``m^T`` that :func:`_reduce` finds.
+    Zero columns exactly when ``m`` is injective.  A zero kernel is a
+    rank question: :func:`is_injective` answers it and no lattice is
+    built.  Otherwise the columns are the left-kernel basis of ``m^T``
+    that :func:`_reduce` finds, the unique reduced Hermite basis of the
+    kernel lattice.
     """
+    if is_injective(m):
+        return Matrix.zero(m.cols, 0)
     basis = _reduce(m.transpose())[2]
-    return Matrix.from_columns(basis, rows=m.cols)
+    return Matrix._make(tuple(zip(*basis)), len(basis))
 
 
 def is_injective(m: Matrix) -> bool:
     """Whether ``m`` is injective as a map ``Z^cols -> Z^rows``: whether
-    its :func:`rank` over the rationals is its column count.
+    its :func:`rank` over the rationals is its column count, which is
+    whether its kernel is zero.  :func:`kernel_basis` asks it first, so
+    a zero kernel builds no lattice.
 
     The work is that of :func:`rank`, with the same bound: the ``k``-th
     kept row is primitive and proportional to a vector of ``(k+1)``-minors

@@ -184,6 +184,50 @@ class TestSnf:
             m = seeded_square(rng, n, deficient)
             assert rank(m) == bareiss_rank(m)
 
+    @pytest.mark.parametrize(
+        "diagonal, cols, want",
+        [
+            # 4 does not divide 3, but the first failing pair is (0, 2)
+            (
+                [2, 4, 3],
+                3,
+                (
+                    [[1, 0, 0], [0, 2, 0], [0, 0, 12]],
+                    [[1, 0, 1], [-3, 1, -2], [6, -3, 4]],
+                    [[-1, -3, -6], [0, -1, -3], [1, 2, 4]],
+                ),
+            ),
+            # the chain fails at (1, 2), the first failing pair is (0, 3)
+            (
+                [2, 6, 4, 3],
+                4,
+                (
+                    [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 12]],
+                    [[1, 0, 0, 1], [0, 1, 1, 0], [-3, -4, -3, -2], [0, 4, 3, 0]],
+                    [[-1, 0, -3, -6], [0, -1, 0, 2], [0, 2, 0, -3], [1, 0, 2, 4]],
+                ),
+            ),
+            # wide, with a zero column: the first failing pair is (0, 2)
+            (
+                [4, 8, 6],
+                4,
+                (
+                    [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 24, 0]],
+                    [[1, 0, 1], [-3, 1, -2], [6, -3, 4]],
+                    [[-1, -3, -6, 0], [0, -1, -3, 0], [1, 2, 4, 0], [0, 0, 0, 1]],
+                ),
+            ),
+        ],
+    )
+    def test_fold_pair_is_the_first_failing_pair(self, diagonal, cols, want):
+        """On a diagonal whose first failing pair ``(i, j)``, in
+        lexicographic order, is not two neighbours, ``snf`` folds that
+        pair and gives exactly these transforms."""
+        m = Matrix([[d if i == j else 0 for j in range(cols)] for i, d in enumerate(diagonal)], cols=cols)
+        s, u, v = snf(m)
+        assert_snf_contract(m, s, u, v)
+        assert (s.to_lists(), u.to_lists(), v.to_lists()) == want
+
 
 class TestKernel:
     def test_identity_has_empty_kernel(self):
@@ -225,6 +269,50 @@ class TestKernel:
         assert singular
         report = validate(SequenceDiagram("plain", [8] * 13, transitions, True, None))
         assert report.violations == [f"non-injective transition {t}" for t in sorted(singular)]
+
+
+def kernel_oracle_inputs():
+    """Seeded squares for n = 1..16, full-rank and deficient, then tall,
+    wide, zero-row and zero-column shapes of both kinds."""
+    rng = random.Random("kernel-oracle")
+    out = []
+    for n in range(1, 17):
+        out.append(seeded_square(rng, n, False))
+        # seeded_square drops the rank by one or two, which needs n > 2
+        out.append(seeded_square(rng, n, True) if n > 2 else Matrix.zero(n, n))
+    for rows, cols in [(5, 2), (6, 3), (9, 4), (2, 5), (3, 6), (4, 9)]:
+        out.append(random_matrix(rng, rows, cols, 9))
+        out.append(dependent_rows(rng, rows, cols, min(rows, cols) - 1, 4))
+    out += [Matrix.zero(0, cols) for cols in range(4)]
+    out += [Matrix.zero(rows, 0) for rows in range(1, 4)]
+    return out
+
+
+def maximal_minors_gcd(k):
+    """gcd of the ``k.cols x k.cols`` minors of ``k`` (1 for no columns)."""
+    g = 0
+    for chosen in itertools.combinations(k.entries, k.cols):
+        g = gcd(g, bareiss_det(Matrix(chosen, cols=k.cols)))
+        if g == 1:
+            break
+    return g
+
+
+class TestKernelAgainstOracles:
+    """``kernel_basis`` against checks that share no code with
+    :func:`_reduce`: the columns annihilate ``m``, there are as many as
+    the fraction-free nullity, their maximal minors are coprime, so they
+    span the whole kernel lattice, and their transpose is in reduced
+    Hermite form, which pins the basis exactly."""
+
+    @pytest.mark.parametrize("m", kernel_oracle_inputs(), ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_kernel_is_the_reduced_hermite_basis(self, m):
+        k = kernel_basis(m)
+        assert (k.rows, k.cols) == (m.cols, m.cols - bareiss_rank(m))
+        assert m * k == Matrix.zero(m.rows, k.cols)
+        assert maximal_minors_gcd(k) == 1
+        rows = k.transpose().to_lists()
+        assert_reduced_hermite(rows, [next(c for c, x in enumerate(r) if x) for r in rows])
 
 
 def assert_rank_agrees(m):
@@ -323,8 +411,9 @@ class TestRankOverRationals:
 
 
 class TestRankBuildsNoLattice:
-    """Rank questions never reach the Hermite kernel; lattice questions
-    still do."""
+    """Rank questions never reach the Hermite kernel, and neither does a
+    zero kernel; lattice questions, a nonzero kernel among them, still
+    do."""
 
     def test_rank_answers_without_echelon(self, monkeypatch):
         def refuse(a):
@@ -340,9 +429,13 @@ class TestRankBuildsNoLattice:
         report = validate(SequenceDiagram("plain", [8] * 7, transitions, True, None))
         assert report.violations == [f"non-injective transition {t}" for t in singular]
         m = transitions[0]
-        for lattice_question in (snf, kernel_basis, lambda k: solve_matrix_eq(k, k)):
+        assert is_injective(m)
+        assert kernel_basis(m) == Matrix.zero(8, 0)
+        for lattice_question in (snf, lambda k: solve_matrix_eq(k, k)):
             with pytest.raises(AssertionError, match="^the Hermite kernel was reached$"):
                 lattice_question(m)
+        with pytest.raises(AssertionError, match="^the Hermite kernel was reached$"):
+            kernel_basis(transitions[singular[0] - 1])
 
 
 def tall_map(rng, rows, cols, injective):
@@ -433,7 +526,9 @@ def pivot_columns(k):
 class TestSplitSolver:
     """``kernel_basis`` and ``solve_matrix_eq`` share one reduction of
     ``[k | I]`` and one forward substitution; both must still read what a
-    direct ``_echelon`` of ``[k | I]`` gives."""
+    direct ``_echelon`` of ``[k | I]`` gives.  A zero kernel is a rank
+    question that builds no lattice, so ``kernel_basis`` of an injective
+    map reduces nothing and must still read as the empty basis."""
 
     def test_agrees_with_echelon(self, rng):
         inconsistent = 0
