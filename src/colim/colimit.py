@@ -4,24 +4,29 @@ An element is a pair ``(stage, vector)`` up to the identification
 ``(i, x) ~ (j, a_ij @ x)``.  A finite truncation can confirm facts that
 are witnessed at a bounded stage but cannot refute tail-dependent ones,
 so queries answer in three values: ``yes(witness)``, ``no``, or
-``unknown(horizon)``.  Only injective transitions (mono mode) upgrade
-some answers to a definitive ``no``.
+``unknown(horizon)``.  One walk, ``_first``, builds every answer: ``yes``
+at the first stage whose pushed vectors pass the query's test, ``no``
+once it passes a *settled* stage after which no witness can appear, and
+``unknown`` when it reaches the horizon.  Only injective transitions
+(mono mode) settle a query: ``equal_at`` and ``eventual_equalizer`` at
+their start stage.
 
 Elements move by :func:`~colim.diagrams.push`, one matrix-vector product
 per stored step; the only composite matrix built is the ``a_ij`` that
 ``eventual_equalizer`` compares with ``p``.  Comparisons walk one vector:
 ``equal_at`` the difference of the two elements, ``eventual_equalizer``
 the columns of ``p - a_ij``; the witness is the first stage at which it
-is zero.  On a diagram that :func:`~colim.diagrams.validate` rejects
-every query raises ``invalid diagram: <first violation>``, since such a
-diagram has no stages to read.
+is zero.  ``factor_through_stage`` walks its own loop, since it returns
+the pushed columns.  On a diagram that :func:`~colim.diagrams.validate`
+rejects every query raises ``invalid diagram: <first violation>``, since
+such a diagram has no stages to read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .diagrams import SequenceDiagram, _walk, push, transition
 from .matrices import Matrix, _integers
@@ -87,6 +92,24 @@ def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitEleme
     return ColimitElement(j, push(seq, e.stage, j, e.vec))
 
 
+def _first(
+    seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool],
+    settled: Optional[int] = None,
+) -> Trilean:
+    """``yes(k)`` at the first ``k in [start, horizon]`` where ``holds`` is
+    true of ``vecs`` pushed forward to stage ``k``; ``no`` once the walk
+    passes the stage ``settled`` without a witness, a stage after which
+    the caller has proved that none appears; ``unknown(horizon)``
+    otherwise, also for an empty walk.  Every answer of the queries
+    below is built here."""
+    for k, pushed in _walk(seq, start, vecs, horizon):
+        if holds(pushed):
+            return Trilean.yes(k)
+        if k == settled:
+            return Trilean.no()
+    return Trilean.unknown(horizon)
+
+
 def equal_at(
     seq: SequenceDiagram, e1: ColimitElement, e2: ColimitElement, horizon: int
 ) -> Trilean:
@@ -98,15 +121,10 @@ def equal_at(
     """
     _check(seq, horizon, e1, e2)
     start = max(e1.stage, e2.stage)
-    if horizon < start:
-        return Trilean.unknown(horizon)
     x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
-    if seq.mono_required:
-        return Trilean.yes(start) if x1 == x2 else Trilean.no()
-    for k, (d,) in _walk(seq, start, [tuple(map(sub, x1, x2))], horizon):
-        if not any(d):
-            return Trilean.yes(k)
-    return Trilean.unknown(horizon)
+    diff = tuple(map(sub, x1, x2))
+    settled = start if seq.mono_required else None
+    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled)
 
 
 def eventual_equalizer(
@@ -123,17 +141,11 @@ def eventual_equalizer(
     want = (seq.rank_at(j), seq.rank_at(i))
     if (p.rows, p.cols) != want:
         raise ValueError(f"p has shape {p.rows}x{p.cols}, expected {want[0]}x{want[1]}")
-    if horizon < j:
-        return Trilean.unknown(horizon)
     a_ij = transition(seq, i, j)
-    if seq.mono_required:
-        return Trilean.yes(j) if p == a_ij else Trilean.no()
     # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
     cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
-    for i0, pushed in _walk(seq, j, cols, horizon):
-        if not any(map(any, pushed)):
-            return Trilean.yes(i0)
-    return Trilean.unknown(horizon)
+    settled = j if seq.mono_required else None
+    return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled)
 
 
 def factor_through_stage(
@@ -163,10 +175,7 @@ def cone_member(seq: SequenceDiagram, e: ColimitElement, horizon: int) -> Trilea
     if not seq.simplicial:
         raise ValueError("cone membership is only defined in simplicial mode")
     _check(seq, horizon, e)
-    for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
-        if min(x, default=0) >= 0:
-            return Trilean.yes(k)
-    return Trilean.unknown(horizon)
+    return _first(seq, e.stage, [e.vec], horizon, lambda pushed: min(pushed[0], default=0) >= 0)
 
 
 def divisible(
@@ -177,7 +186,4 @@ def divisible(
     if m < 1:
         raise ValueError("modulus must be >= 1")
     _check(seq, horizon, e)
-    for k, (x,) in _walk(seq, e.stage, [e.vec], horizon):
-        if not any([v % m for v in x]):
-            return Trilean.yes(k)
-    return Trilean.unknown(horizon)
+    return _first(seq, e.stage, [e.vec], horizon, lambda pushed: not any([v % m for v in pushed[0]]))

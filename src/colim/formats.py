@@ -80,6 +80,21 @@ def _matrix(value: object, path: str, empty_width: int = 0) -> Matrix:
     return Matrix._make(tuple(map(tuple, rows)), width)
 
 
+# the keys of a diagram's ``period`` and a certificate's ``periodic``
+# object, in the order they are read, emitted and passed on
+_PERIOD = ("prefix_len", "period_len")
+_PERIODIC = ("index_step_a", "index_step_b", "period_len")
+
+
+def _fields(doc: dict, name: str, keys: tuple) -> tuple | None:
+    """The integers under ``keys`` of the object ``doc[name]``, or
+    ``None`` when it is absent or null."""
+    if doc.get(name) is None:
+        return None
+    obj = _expect_obj(doc[name], name)
+    return tuple([_expect_int(obj.get(key), f"{name}.{key}") for key in keys])
+
+
 def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
     doc = _expect_obj(_loads(text), "document")
     ranks = _ints(doc.get("ranks"), "ranks")
@@ -88,13 +103,7 @@ def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
         _matrix(m, f"transitions[{n}]", ranks[n] if n < len(ranks) else 0)
         for n, m in enumerate(_expect_list(doc.get("transitions", []), "transitions"))
     ]
-    period = None
-    if doc.get("period") is not None:
-        obj = _expect_obj(doc["period"], "period")
-        period = (
-            _expect_int(obj.get("prefix_len"), "period.prefix_len"),
-            _expect_int(obj.get("period_len"), "period.period_len"),
-        )
+    period = _fields(doc, "period", _PERIOD)
     try:
         seq = SequenceDiagram(doc.get("mode"), ranks, transitions, doc.get("mono", False), period)
     except ValueError as exc:
@@ -114,7 +123,7 @@ def emit_diagram(seq: SequenceDiagram) -> str:
         "transitions": [m.to_lists() for m in seq.transitions],
     }
     if seq.period is not None:
-        doc["period"] = {"prefix_len": seq.period[0], "period_len": seq.period[1]}
+        doc["period"] = dict(zip(_PERIOD, seq.period))
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -124,15 +133,8 @@ def parse_certificate(text: str) -> ConfluenceCertificate:
     k_idx = _ints(doc.get("k_indices"), "k_indices")
     f_mats = [_matrix(m, f"f_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("f_mats"), "f_mats"))]
     g_mats = [_matrix(m, f"g_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("g_mats"), "g_mats"))]
-    periodic = None
-    if doc.get("periodic") is not None:
-        obj = _expect_obj(doc["periodic"], "periodic")
-        periodic = CertificatePeriod(
-            _expect_int(obj.get("index_step_a"), "periodic.index_step_a"),
-            _expect_int(obj.get("index_step_b"), "periodic.index_step_b"),
-            _expect_int(obj.get("period_len"), "periodic.period_len"),
-        )
-    return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats, periodic)
+    periodic = _fields(doc, "periodic", _PERIODIC)
+    return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats, periodic and CertificatePeriod(*periodic))
 
 
 def emit_certificate(cert: ConfluenceCertificate) -> str:
@@ -143,11 +145,7 @@ def emit_certificate(cert: ConfluenceCertificate) -> str:
         "g_mats": [m.to_lists() for m in cert.g_mats],
     }
     if cert.periodic is not None:
-        doc["periodic"] = {
-            "index_step_a": cert.periodic.index_step_a,
-            "index_step_b": cert.periodic.index_step_b,
-            "period_len": cert.periodic.period_len,
-        }
+        doc["periodic"] = {key: getattr(cert.periodic, key) for key in _PERIODIC}
     return json.dumps(doc, indent=2) + "\n"
 
 

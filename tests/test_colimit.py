@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import colim.colimit
 from colim.colimit import (
     ColimitElement,
     Trilean,
@@ -158,3 +162,53 @@ class TestConeAndDivisible:
     def test_divisibility_witness_quotient(self):
         got = divisible(X2, ColimitElement(1, [3]), 4, 6)
         assert got == Trilean.yes(3)  # 3 * 2^2 = 12 = 4 * 3
+
+
+class TestEveryAnswerIsBuiltInFirst:
+    """``colimit._first`` builds every ``Trilean`` a query returns, and it
+    and ``factor_through_stage`` are the only callers of the walk, so
+    when a query may answer ``yes``, ``no`` or ``unknown`` is decided in
+    one function."""
+
+    PATH = Path(colim.colimit.__file__)
+    WALKERS = {"_first", "factor_through_stage"}
+
+    @staticmethod
+    def calls(path):
+        """``(function, callee)`` of each call of ``Trilean``, its
+        ``yes`` / ``no`` / ``unknown`` and ``_walk`` in ``path``."""
+        found = []
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name) and f.id in ("Trilean", "_walk"):
+                    found.append((where, f.id))
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "Trilean":
+                    found.append((where, f"Trilean.{f.attr}"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text(), str(path)), None)
+        return found
+
+    def test_answers_are_built_in_first_only(self):
+        bad = [
+            (f, callee)
+            for f, callee in self.calls(self.PATH)
+            if (callee.startswith("Trilean.") and f != "_first")
+            or (callee == "Trilean" and f not in ("yes", "no", "unknown"))
+        ]
+        assert bad == []
+
+    def test_only_first_and_factor_walk(self):
+        bad = [(f, callee) for f, callee in self.calls(self.PATH) if callee == "_walk" and f not in self.WALKERS]
+        assert bad == []
+
+    def test_the_guard_sees_every_call(self):
+        found = set(self.calls(self.PATH))
+        assert {("_first", f"Trilean.{kind}") for kind in ("yes", "no", "unknown")} <= found
+        assert {(f, "_walk") for f in self.WALKERS} <= found
+        assert {(kind, "Trilean") for kind in ("yes", "no", "unknown")} <= found

@@ -279,6 +279,46 @@ class TestAgainstCompositeReference:
         assert cases >= 300
 
 
+class TestMonoNoIsSound:
+    """A ``no`` claims that the two sides never agree.  ``ref_equal_at``
+    and ``ref_eventual_equalizer`` answer mono diagrams by the same rule
+    as the queries, so here every ``no`` is checked through composites
+    at each stage from the start to 20 stages past it, or to the
+    truncation."""
+
+    REACH = 20
+
+    def test_no_answers_disagree_at_every_later_stage(self):
+        rng = random.Random("mono no")
+        nos = [0, 0]
+        for _ in range(300):
+            mode = rng.choice(("plain", "simplicial"))
+            seq = some_diagram(rng, mode, periodic=rng.random() < 0.5, mono=True)
+            last = 8 if seq.period else seq.length
+            e1, e2 = element(rng, seq, last), element(rng, seq, last)
+            if rng.random() < 0.3 and e1.stage <= e2.stage:
+                e2 = ColimitElement(e2.stage, moved(seq, e1, e2.stage))
+            start = max(e1.stage, e2.stage)
+            horizon = rng.randint(start, last)  # below the start the answer is unknown
+            if equal_at(seq, e1, e2, horizon) == Trilean.no():
+                nos[0] += 1
+                for k in filter(seq.has_stage, range(start, start + self.REACH + 1)):
+                    assert moved(seq, e1, k) != moved(seq, e2, k), (seq, e1, e2, k)
+
+            i = rng.randint(1, last)
+            j = rng.randint(i, last)
+            p = transition(seq, i, j)
+            if rng.random() < 0.7:
+                rows = [list(row) for row in p.entries]
+                rows[rng.randrange(p.rows)][rng.randrange(p.cols)] += rng.choice((-1, 1))
+                p = Matrix(rows)
+            if eventual_equalizer(seq, i, j, p, rng.randint(j, last)) == Trilean.no():
+                nos[1] += 1
+                for i0 in filter(seq.has_stage, range(j, j + self.REACH + 1)):
+                    assert transition(seq, j, i0) * p != transition(seq, i, i0), (seq, i, j, p, i0)
+        assert min(nos) >= 150, nos
+
+
 # -- (c) the element-moving queries build no matrix -------------------------
 
 
