@@ -4,12 +4,18 @@ An element is a pair ``(stage, vector)`` up to the identification
 ``(i, x) ~ (j, a_ij @ x)``.  A finite truncation can confirm facts that
 are witnessed at a bounded stage but cannot refute tail-dependent ones,
 so queries answer in three values: ``yes(witness)``, ``no``, or
-``unknown(horizon)``.  One walk, ``_first``, builds every answer: ``yes``
-at the first stage whose pushed vectors pass the query's test, ``no``
-once it passes a *settled* stage after which no witness can appear, and
-``unknown`` when it reaches the horizon.  Only injective transitions
-(mono mode) settle a query: ``equal_at`` and ``eventual_equalizer`` at
-their start stage.
+``unknown(horizon)``, which says that no stage up to the horizon is a
+witness, walked or proven.  One walk, ``_first``, builds every answer:
+``yes`` at the first stage whose pushed vectors pass the query's test,
+``no`` once it passes a *settled* stage after which no witness can
+appear, and ``unknown`` when it reaches the horizon or a *barren* stage
+after which no witness first appears.  Only injective transitions (mono
+mode) settle a query: ``equal_at`` and ``eventual_equalizer`` at their
+start stage.  On a periodic diagram ``equal_at``, ``eventual_equalizer``
+and ``divisible`` stop at the barren stage that :func:`_barren` reads off
+the period declaration, so their cost does not grow with the horizon;
+``cone_member`` and ``factor_through_stage`` walk to the horizon, at a
+cost quadratic in it, since positivity has no such bound.
 
 Elements move by :func:`~colim.diagrams.push`, one matrix-vector product
 per stored step; the only composite matrix built is the ``a_ij`` that
@@ -48,7 +54,9 @@ class ColimitElement:
 @dataclass(frozen=True)
 class Trilean:
     kind: str  # "yes" | "no" | "unknown"
-    stage: Optional[int] = None  # witness for yes, searched horizon for unknown
+    # witness for yes; for unknown the horizon, up to which no stage is a
+    # witness, walked or proven
+    stage: Optional[int] = None
 
     @staticmethod
     def yes(witness: int) -> "Trilean":
@@ -92,17 +100,45 @@ def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitEleme
     return ColimitElement(j, push(seq, e.stage, j, e.vec))
 
 
+def _barren(seq: SequenceDiagram, start: int, links: int = 1) -> Optional[int]:
+    """A stage after which no witness first appears, for a walk from
+    ``start`` whose test asks that the pushed vectors lie in the kernel of
+    the composite over the integers (``links = 1``) or modulo ``m``
+    (``links = m.bit_length() - 1``); ``None`` without a period.
+
+    Every step from ``s = max(start, prefix + 1)`` on repeats the period,
+    so the composite ``P`` of one period from ``s`` is square of size
+    ``r = rank_at(s)``, and the kernel of the composite from ``s`` to
+    ``s + n`` lies in that of ``P^k`` for ``k = ceil(n / length)``.  The
+    kernels of ``P^k`` rise until two neighbours agree and then stay put;
+    over the rationals the chain has at most ``r`` steps, and modulo ``m``
+    at most ``r * Omega(m) <= r * floor(log2 m)``, the composition length
+    of ``(Z/m)^r`` (``Omega`` counts prime factors with multiplicity).  So
+    a vector killed at any stage is killed by stage ``s + r * links *
+    length``; the stages before ``s`` are walked.  Plain arithmetic on the
+    declaration: no matrix is built."""
+    if seq.period is None:
+        return None
+    prefix, length = seq.period
+    s = max(start, prefix + 1)
+    return s + seq.rank_at(s) * links * length
+
+
 def _first(
     seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool],
-    settled: Optional[int] = None,
+    settled: Optional[int] = None, barren: Optional[int] = None,
 ) -> Trilean:
     """``yes(k)`` at the first ``k in [start, horizon]`` where ``holds`` is
     true of ``vecs`` pushed forward to stage ``k``; ``no`` once the walk
     passes the stage ``settled`` without a witness, a stage after which
     the caller has proved that none appears; ``unknown(horizon)``
-    otherwise, also for an empty walk.  Every answer of the queries
-    below is built here."""
-    for k, pushed in _walk(seq, start, vecs, horizon):
+    otherwise, also for an empty walk.  The walk stops at
+    ``min(horizon, barren)``: past ``barren`` the caller has proved that
+    no witness first appears, so ``unknown(horizon)`` still says that no
+    stage up to the horizon is one.  Every answer of the queries below is
+    built here."""
+    last = horizon if barren is None else min(horizon, barren)
+    for k, pushed in _walk(seq, start, vecs, last):
         if holds(pushed):
             return Trilean.yes(k)
         if k == settled:
@@ -124,7 +160,8 @@ def equal_at(
     x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
     diff = tuple(map(sub, x1, x2))
     settled = start if seq.mono_required else None
-    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled)
+    barren = _barren(seq, start)
+    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled, barren)
 
 
 def eventual_equalizer(
@@ -145,7 +182,8 @@ def eventual_equalizer(
     # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
     cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
     settled = j if seq.mono_required else None
-    return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled)
+    barren = _barren(seq, j)
+    return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled, barren)
 
 
 def factor_through_stage(
@@ -186,4 +224,7 @@ def divisible(
     if m < 1:
         raise ValueError("modulus must be >= 1")
     _check(seq, horizon, e)
-    return _first(seq, e.stage, [e.vec], horizon, lambda pushed: not any([v % m for v in pushed[0]]))
+    barren = _barren(seq, e.stage, m.bit_length() - 1)
+    return _first(
+        seq, e.stage, [e.vec], horizon, lambda pushed: not any([v % m for v in pushed[0]]), barren=barren
+    )

@@ -352,6 +352,23 @@ class TestMapAndQueries:
         assert code == 0
         assert out == ["answer: unknown", "horizon: 3"]
 
+    @pytest.mark.parametrize("argv, steps", [
+        # x3 has rank 1 and 2 = 2^1: the walk stops one period past stage 1
+        (("divisible", X3, "--element", "1:1", "--m", "2"), 1),
+        # fib has rank 2: the walk stops two periods past stage 1
+        (("equal", FIB, "--e1", "1:1,0", "--e2", "1:0,1"), 2),
+    ])
+    def test_unknown_at_a_far_horizon_stops_at_the_barren_stage(self, capsys, monkeypatch, argv, steps):
+        """The answer is the walk to the horizon's, and its cost does not
+        grow with the horizon: besides the one step that resolves the
+        horizon's rank, the walk takes ``steps`` steps."""
+        calls = []
+        step = SequenceDiagram._step
+        monkeypatch.setattr(SequenceDiagram, "_step", lambda seq, i: calls.append(i) or step(seq, i))
+        code, out, _ = run(capsys, *argv, "--horizon", "1000000")
+        assert (code, out) == (0, ["answer: unknown", "horizon: 1000000"])
+        assert sorted(calls) == [*range(1, steps + 1), 999999]
+
     @pytest.mark.parametrize("argv", [
         ("equal", X2, "--e1", "1:1", "--e2", "2:2"),
         ("cone", FIB, "--element", "1:1,-1"),

@@ -212,3 +212,92 @@ class TestEveryAnswerIsBuiltInFirst:
         assert {("_first", f"Trilean.{kind}") for kind in ("yes", "no", "unknown")} <= found
         assert {(f, "_walk") for f in self.WALKERS} <= found
         assert {(kind, "Trilean") for kind in ("yes", "no", "unknown")} <= found
+
+
+def shift(r):
+    """The nilpotent ``r x r`` shift ``e_1 -> 0``, ``e_i -> e_{i-1}``:
+    ``e_r`` dies after exactly ``r`` applications."""
+    return Matrix([[int(c == i + 1) for c in range(r)] for i in range(r)], cols=r)
+
+
+def two(r):
+    """The companion matrix of ``x^r - 2``, ``e_i -> e_{i+1}`` and
+    ``e_r -> 2 e_1``: ``e_1`` is 0 mod ``2^k`` after exactly ``r k``
+    applications, and no sooner."""
+    return Matrix([[2 * (c == r - 1) if i == 0 else int(c == i - 1) for c in range(r)] for i in range(r)], cols=r)
+
+
+def inclusion(rows, cols):
+    """``e_i -> e_i``, padding with zero rows or dropping coordinates."""
+    return Matrix([[int(c == i) for c in range(cols)] for i in range(rows)], cols=cols)
+
+
+def unit(r, i):
+    return tuple(int(c == i) for c in range(r))
+
+
+def periodic(ranks, transitions, prefix=0):
+    return SequenceDiagram("plain", ranks, transitions, False, (prefix, len(transitions) - prefix))
+
+
+class TestWitnessOnTheBarrenStage:
+    """Cases whose first witness lands exactly on the stage that
+    ``_barren`` reads off the period declaration, so a walk that stopped
+    one stage sooner would miss it: each answers ``yes`` there at every
+    horizon from it on, and ``unknown`` below it."""
+
+    @staticmethod
+    def check(query, witness, barren):
+        assert barren == witness
+        for horizon in (witness, witness + 1, 10**6):
+            assert query(horizon) == Trilean.yes(witness)
+        assert query(witness - 1) == Trilean.unknown(witness - 1)
+
+    @staticmethod
+    def nilpotent(r):
+        """``name: (diagram, stage where the last unit vector dies)``, from
+        stage 1; one period composes to the shift on a stage of rank ``r``."""
+        n = shift(r)
+        rise_and_fall = [inclusion(r + 1, r), n * inclusion(r, r + 1)]
+        return {
+            "L=1": (periodic([r, r], [n]), 1 + r),
+            "L=2": (periodic([r, r, r], [Matrix.identity(r), n]), 1 + 2 * r),
+            "rank rises and falls": (periodic([r, r + 1, r], rise_and_fall), 1 + 2 * r),
+            "after a prefix": (
+                periodic([1, r, r + 1, r], [Matrix.from_columns([unit(r, r - 1)], rows=r)] + rise_and_fall, 1),
+                2 + 2 * r,
+            ),
+        }
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_equal_on_nilpotent_periods(self, r):
+        for seq, dies in self.nilpotent(r).values():
+            rank = seq.rank_at(1)
+            e, zero = ColimitElement(1, unit(rank, rank - 1)), ColimitElement(1, (0,) * rank)
+            self.check(lambda h: equal_at(seq, e, zero, h), dies, colim.colimit._barren(seq, 1))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_eventual_equalizer_on_nilpotent_periods(self, r):
+        for seq, dies in self.nilpotent(r).values():
+            rank = seq.rank_at(1)
+            # p - a_11 has the last unit vector as its first column
+            p = Matrix([[int(row == c) + int((row, c) == (rank - 1, 0)) for c in range(rank)] for row in range(rank)])
+            self.check(lambda h: eventual_equalizer(seq, 1, 1, p, h), dies, colim.colimit._barren(seq, 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_divisible_by_powers_of_two(self, r, k):
+        e = ColimitElement(1, unit(r, 0))
+        for seq, witness in (
+            (periodic([r, r], [two(r)]), 1 + r * k),
+            (periodic([r, r, r], [Matrix.identity(r), two(r)]), 1 + 2 * r * k),
+        ):
+            barren = colim.colimit._barren(seq, 1, k)
+            self.check(lambda h: divisible(seq, e, 2**k, h), witness, barren)
+
+    def test_divisible_on_a_jordan_block(self):
+        jordan = periodic([2, 2], [Matrix([[2, 1], [0, 2]])])
+        e = ColimitElement(1, (0, 1))  # (1, 2) after one step, (4, 4) after two
+        self.check(lambda h: divisible(jordan, e, 2, h), 3, colim.colimit._barren(jordan, 1, 1))
+        for k in range(2, 7):  # the chain stops before its length bound here
+            assert divisible(jordan, e, 2**k, 10**6) == Trilean.yes(2 + k - (k % 2 == 0))

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from colim import colimit
 from colim.colimit import (
     ColimitElement,
     Trilean,
@@ -28,7 +29,7 @@ from colim.confluence import (
     roundtrip_check,
 )
 from colim.diagrams import SequenceDiagram, push, transition, validate
-from colim.matrices import Matrix, is_injective
+from colim.matrices import Matrix, is_injective, kernel_basis
 
 from conftest import random_matrix
 
@@ -363,3 +364,66 @@ class TestRanksThatDisagreeWithShapes:
     def test_eventual_equalizer_refuses(self):
         with pytest.raises(ValueError, match="^invalid diagram: shape mismatch at transition 1: got 1x1, expected 2x1$"):
             eventual_equalizer(self.SEQ, 1, 2, Matrix([[1], [0]]), 3)
+
+
+# -- (d) walks that stop at a proven stage answer as walks to the horizon ----
+
+
+def dying(rng, seq, stage):
+    """A vector at ``stage`` that a composite up to 15 stages on kills, so
+    that a witness often lands late; the zero vector when none does."""
+    kernel = kernel_basis(transition(seq, stage, stage + rng.randint(1, 15)))
+    coeffs = vector(rng, kernel.cols)
+    return tuple(sum(c * x for c, x in zip(coeffs, row)) for row in kernel.entries)
+
+
+class TestBarrenStage:
+    """On a periodic diagram ``equal_at``, ``eventual_equalizer`` and
+    ``divisible`` stop at the stage ``_barren`` reads off the period
+    declaration, past which no witness first appears; the references walk
+    every stage to the horizon, so they agree on every answer, witness
+    stage and horizon."""
+
+    def test_queries_agree_with_walks_to_the_horizon(self):
+        rng = random.Random("barren")
+        seen = dict.fromkeys(("rank 0", "simplicial", "mono", "stopped early", "yes past truncation"), 0)
+        for _ in range(300):
+            mode = rng.choice(("plain", "simplicial"))
+            seq = some_diagram(rng, mode, periodic=True, mono=rng.random() < 0.2)
+            seen["rank 0"] += 0 in seq.ranks
+            seen["simplicial"] += seq.simplicial
+            seen["mono"] += seq.mono_required
+            horizon = rng.randint(1, 120)
+            answers = []
+
+            e1 = element(rng, seq, 6)
+            if rng.random() < 0.3:
+                e2 = element(rng, seq, 6)
+            else:
+                e2 = ColimitElement(e1.stage, tuple(map(sum, zip(e1.vec, dying(rng, seq, e1.stage)))))
+            answers.append(equal_at(seq, e1, e2, horizon))
+            assert answers[-1] == ref_equal_at(seq, e1, e2, horizon), (seq, e1, e2, horizon)
+            barrens = [colimit._barren(seq, max(e1.stage, e2.stage))]
+
+            i = rng.randint(1, 4)
+            j = i + rng.randint(0, 3)
+            a_ij = transition(seq, i, j)
+            cols = [tuple(map(sum, zip(a_ij.col(c), dying(rng, seq, j)))) for c in range(a_ij.cols)]
+            p = Matrix.from_columns(cols, rows=a_ij.rows)
+            h = max(horizon, j)
+            answers.append(eventual_equalizer(seq, i, j, p, h))
+            assert answers[-1] == ref_eventual_equalizer(seq, i, j, p, h), (seq, i, j, p, h)
+            barrens.append(colimit._barren(seq, j))
+
+            m = rng.randint(1, 12)
+            e = element(rng, seq, 6)
+            if rng.random() < 0.5:
+                e = ColimitElement(e.stage, tuple(x + m * y for x, y in zip(dying(rng, seq, e.stage), e.vec)))
+            answers.append(divisible(seq, e, m, horizon))
+            assert answers[-1] == ref_first(seq, e, horizon, lambda x: all(v % m == 0 for v in x)), (seq, e, m, horizon)
+            barrens.append(colimit._barren(seq, e.stage, m.bit_length() - 1))
+
+            for answer, barren in zip(answers, barrens):
+                seen["stopped early"] += answer.kind == "unknown" and answer.stage > barren
+                seen["yes past truncation"] += answer.is_yes and answer.stage > seq.length
+        assert min(seen.values()) >= 30, seen
