@@ -100,11 +100,11 @@ def pushforward(seq: SequenceDiagram, e: ColimitElement, j: int) -> ColimitEleme
     return ColimitElement(j, push(seq, e.stage, j, e.vec))
 
 
-def _barren(seq: SequenceDiagram, start: int, links: int = 1) -> Optional[int]:
+def _barren(seq: SequenceDiagram, start: int, links: int) -> int:
     """A stage after which no witness first appears, for a walk from
-    ``start`` whose test asks that the pushed vectors lie in the kernel of
-    the composite over the integers (``links = 1``) or modulo ``m``
-    (``links = m.bit_length() - 1``); ``None`` without a period.
+    ``start`` on a periodic diagram whose test asks that the pushed
+    vectors lie in the kernel of the composite over the integers
+    (``links = 1``) or modulo ``m`` (``links = m.bit_length() - 1``).
 
     Every step from ``s = max(start, prefix + 1)`` on repeats the period,
     so the composite ``P`` of one period from ``s`` is square of size
@@ -117,8 +117,6 @@ def _barren(seq: SequenceDiagram, start: int, links: int = 1) -> Optional[int]:
     a vector killed at any stage is killed by stage ``s + r * links *
     length``; the stages before ``s`` are walked.  Plain arithmetic on the
     declaration: no matrix is built."""
-    if seq.period is None:
-        return None
     prefix, length = seq.period
     s = max(start, prefix + 1)
     return s + seq.rank_at(s) * links * length
@@ -126,18 +124,22 @@ def _barren(seq: SequenceDiagram, start: int, links: int = 1) -> Optional[int]:
 
 def _first(
     seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool],
-    settled: Optional[int] = None, barren: Optional[int] = None,
+    settled: Optional[int] = None, links: Optional[int] = None,
 ) -> Trilean:
     """``yes(k)`` at the first ``k in [start, horizon]`` where ``holds`` is
     true of ``vecs`` pushed forward to stage ``k``; ``no`` once the walk
     passes the stage ``settled`` without a witness, a stage after which
     the caller has proved that none appears; ``unknown(horizon)``
-    otherwise, also for an empty walk.  The walk stops at
-    ``min(horizon, barren)``: past ``barren`` the caller has proved that
-    no witness first appears, so ``unknown(horizon)`` still says that no
-    stage up to the horizon is one.  Every answer of the queries below is
-    built here."""
-    last = horizon if barren is None else min(horizon, barren)
+    otherwise, also for an empty walk.  A caller whose test is a kernel
+    test passes its ``links`` (see :func:`_barren`), and on a periodic
+    diagram the walk stops at ``min(horizon, _barren(...))``: past that
+    stage no witness first appears, so ``unknown(horizon)`` still says
+    that no stage up to the horizon is one.  Every answer of the queries
+    below is built here."""
+    if links is None or seq.period is None:
+        last = horizon
+    else:
+        last = min(horizon, _barren(seq, start, links))
     for k, pushed in _walk(seq, start, vecs, last):
         if holds(pushed):
             return Trilean.yes(k)
@@ -160,8 +162,7 @@ def equal_at(
     x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
     diff = tuple(map(sub, x1, x2))
     settled = start if seq.mono_required else None
-    barren = _barren(seq, start)
-    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled, barren)
+    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled, links=1)
 
 
 def eventual_equalizer(
@@ -182,8 +183,7 @@ def eventual_equalizer(
     # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
     cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
     settled = j if seq.mono_required else None
-    barren = _barren(seq, j)
-    return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled, barren)
+    return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled, links=1)
 
 
 def factor_through_stage(
@@ -224,7 +224,7 @@ def divisible(
     if m < 1:
         raise ValueError("modulus must be >= 1")
     _check(seq, horizon, e)
-    barren = _barren(seq, e.stage, m.bit_length() - 1)
     return _first(
-        seq, e.stage, [e.vec], horizon, lambda pushed: not any([v % m for v in pushed[0]]), barren=barren
+        seq, e.stage, [e.vec], horizon, lambda pushed: not any([v % m for v in pushed[0]]),
+        links=m.bit_length() - 1,
     )

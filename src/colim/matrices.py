@@ -353,12 +353,11 @@ def kernel_basis(m: Matrix) -> Matrix:
 
     Zero columns exactly when ``m`` is injective.  A zero kernel is a
     rank question: :func:`is_injective` answers it and no lattice is
-    built.  A wide map (more columns than rows) is never injective, so it
-    skips that rank pass.  Otherwise the columns are the left-kernel basis
-    of ``m^T`` that :func:`_reduce` finds, the unique reduced Hermite
-    basis of the kernel lattice.
+    built.  Otherwise the columns are the left-kernel basis of ``m^T``
+    that :func:`_reduce` finds, the unique reduced Hermite basis of the
+    kernel lattice.
     """
-    if m.cols <= m.rows and is_injective(m):
+    if is_injective(m):
         return Matrix.zero(m.cols, 0)
     basis = _reduce(m.transpose())[2]
     return Matrix._make(tuple(zip(*basis)), len(basis))

@@ -274,7 +274,7 @@ class TestWitnessOnTheBarrenStage:
         for seq, dies in self.nilpotent(r).values():
             rank = seq.rank_at(1)
             e, zero = ColimitElement(1, unit(rank, rank - 1)), ColimitElement(1, (0,) * rank)
-            self.check(lambda h: equal_at(seq, e, zero, h), dies, colim.colimit._barren(seq, 1))
+            self.check(lambda h: equal_at(seq, e, zero, h), dies, colim.colimit._barren(seq, 1, 1))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_eventual_equalizer_on_nilpotent_periods(self, r):
@@ -282,7 +282,7 @@ class TestWitnessOnTheBarrenStage:
             rank = seq.rank_at(1)
             # p - a_11 has the last unit vector as its first column
             p = Matrix([[int(row == c) + int((row, c) == (rank - 1, 0)) for c in range(rank)] for row in range(rank)])
-            self.check(lambda h: eventual_equalizer(seq, 1, 1, p, h), dies, colim.colimit._barren(seq, 1))
+            self.check(lambda h: eventual_equalizer(seq, 1, 1, p, h), dies, colim.colimit._barren(seq, 1, 1))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("r", [1, 2, 3])

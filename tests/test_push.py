@@ -403,7 +403,7 @@ class TestBarrenStage:
                 e2 = ColimitElement(e1.stage, tuple(map(sum, zip(e1.vec, dying(rng, seq, e1.stage)))))
             answers.append(equal_at(seq, e1, e2, horizon))
             assert answers[-1] == ref_equal_at(seq, e1, e2, horizon), (seq, e1, e2, horizon)
-            barrens = [colimit._barren(seq, max(e1.stage, e2.stage))]
+            barrens = [colimit._barren(seq, max(e1.stage, e2.stage), 1)]
 
             i = rng.randint(1, 4)
             j = i + rng.randint(0, 3)
@@ -413,7 +413,7 @@ class TestBarrenStage:
             h = max(horizon, j)
             answers.append(eventual_equalizer(seq, i, j, p, h))
             assert answers[-1] == ref_eventual_equalizer(seq, i, j, p, h), (seq, i, j, p, h)
-            barrens.append(colimit._barren(seq, j))
+            barrens.append(colimit._barren(seq, j, 1))
 
             m = rng.randint(1, 12)
             e = element(rng, seq, 6)
