@@ -92,25 +92,43 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def _cmd_verify(args) -> int:
-    seqA = _load(parse_diagram, args.diagram_a)
-    seqB = _load(parse_diagram, args.diagram_b)
+def _load_pair(args) -> tuple:
+    """The diagrams at ``args.diagram_a`` and ``args.diagram_b``."""
+    return _load(parse_diagram, args.diagram_a), _load(parse_diagram, args.diagram_b)
+
+
+def _verified(args) -> tuple:
+    """The diagrams A and B, the certificate, and the
+    :func:`~colim.confluence.verify_certificate` report on them."""
+    seqA, seqB = _load_pair(args)
     cert = _load(parse_certificate, args.certificate)
-    report = confluence.verify_certificate(seqA, seqB, cert)
-    print(f"status: {'accepted' if report.accepted else 'rejected'}")
-    if report.accepted:
-        print("scope: all levels (periodic certificate accepted)" if report.periodic_accepted
-              else f"scope: levels 1..{cert.depth} only, not a proof for the infinite colimits")
+    return seqA, seqB, cert, confluence.verify_certificate(seqA, seqB, cert)
+
+
+def _rejected(report) -> int:
+    """Print a rejected certificate's report.  A rejected report has no
+    notes: ``verify_certificate`` adds them only after every equation
+    holds."""
+    print("status: rejected")
     for f in report.failures:
         print(f"failure: {f}")
+    return EXIT_NEGATIVE
+
+
+def _cmd_verify(args) -> int:
+    _, _, cert, report = _verified(args)
+    if not report.accepted:
+        return _rejected(report)
+    print("status: accepted")
+    print("scope: all levels (periodic certificate accepted)" if report.periodic_accepted
+          else f"scope: levels 1..{cert.depth} only, not a proof for the infinite colimits")
     for n in report.notes:
         print(f"note: {n}")
-    return EXIT_OK if report.accepted else EXIT_NEGATIVE
+    return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    seqA = _load(parse_diagram, args.diagram_a)
-    seqB = _load(parse_diagram, args.diagram_b)
+    seqA, seqB = _load_pair(args)
     budget = _user_call(confluence.SearchBudget, args.depth, args.bound, args.horizon, args.nodes)
     cert = _user_call(confluence.search_confluence, seqA, seqB, budget)
     if cert is None:
@@ -133,15 +151,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    seqA = _load(parse_diagram, args.diagram_a)
-    seqB = _load(parse_diagram, args.diagram_b)
-    cert = _load(parse_certificate, args.certificate)
-    report = confluence.verify_certificate(seqA, seqB, cert)
+    seqA, seqB, cert, report = _verified(args)
     if not report.accepted:
-        print("status: rejected")
-        for f in report.failures:
-            print(f"failure: {f}")
-        return EXIT_NEGATIVE
+        return _rejected(report)
     e = parse_element(args.element)
     direction = confluence.BACKWARD if args.backward else confluence.FORWARD
     image = _user_call(confluence.induced_map, seqA, seqB, cert, direction, e)
@@ -149,34 +161,18 @@ def _cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _print_trilean(answer) -> int:
+def _cmd_query(args) -> int:
+    """Ask the colimit query named by ``args.query``, called as
+    ``query(diagram, args, horizon)``, and print its ``Trilean``.  The
+    query parses its elements, so a malformed one is a user error too."""
+    seq = _load(parse_diagram, args.diagram)
+    answer = _user_call(args.query, seq, args, _horizon(args, seq))
     print(f"answer: {answer.kind}")
     if answer.kind == "yes":
         print(f"witness: {answer.stage}")
     elif answer.kind == "unknown":
         print(f"horizon: {answer.stage}")
     return EXIT_OK
-
-
-def _cmd_equal(args) -> int:
-    seq = _load(parse_diagram, args.diagram)
-    horizon = _horizon(args, seq)
-    e1, e2 = parse_element(args.e1), parse_element(args.e2)
-    return _print_trilean(_user_call(colimit.equal_at, seq, e1, e2, horizon))
-
-
-def _cmd_cone(args) -> int:
-    seq = _load(parse_diagram, args.diagram)
-    horizon = _horizon(args, seq)
-    e = parse_element(args.element)
-    return _print_trilean(_user_call(colimit.cone_member, seq, e, horizon))
-
-
-def _cmd_divisible(args) -> int:
-    seq = _load(parse_diagram, args.diagram)
-    horizon = _horizon(args, seq)
-    e = parse_element(args.element)
-    return _print_trilean(_user_call(colimit.divisible, seq, e, args.m, horizon))
 
 
 def _cmd_invariants(args) -> int:
@@ -269,20 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_equal)
+    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.equal_at(
+        seq, parse_element(a.e1), parse_element(a.e2), horizon))
 
     p = sub.add_parser("cone", help="test positive-cone membership (simplicial)")
     p.add_argument("diagram")
     p.add_argument("--element", required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_cone)
+    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.cone_member(
+        seq, parse_element(a.element), horizon))
 
     p = sub.add_parser("divisible", help="test divisibility of an element")
     p.add_argument("diagram")
     p.add_argument("--element", required=True)
     p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_divisible)
+    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.divisible(
+        seq, parse_element(a.element), a.m, horizon))
 
     p = sub.add_parser("invariants", help="print rank/Steinitz invariants and evidence")
     p.add_argument("diagram_a")

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -443,7 +444,9 @@ def search_confluence(
 
     Every returned certificate passes :func:`verify_certificate`.  An
     empty result means only that the budgeted space holds no certificate;
-    it is never evidence of non-isomorphism.
+    it is never evidence of non-isomorphism.  The search recurses once per
+    map, so a depth whose chain needs more nested calls than the
+    interpreter's recursion limit allows raises ``ValueError``.
 
     Each half-level solves ``h * K = T_j`` for the next map, with
     ``T_j = transition(s, j)`` from the side's stage ``s`` to each later
@@ -504,4 +507,9 @@ def search_confluence(
                         return found
     except _OutOfNodes:
         return None
+    except RecursionError:
+        raise ValueError(
+            f"depth {budget.depth} needs more nested calls than the interpreter's "
+            f"recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
     return None

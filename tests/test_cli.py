@@ -1,19 +1,22 @@
 import ast
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from sympy import prevprime
 
-from colim import confluence, diagrams, invariants
+from colim import colimit, confluence, diagrams, invariants
 from colim.cli import main
+from colim.colimit import ColimitElement
 from colim.diagrams import SequenceDiagram
-from colim.formats import emit_diagram
+from colim.formats import emit_diagram, format_element, parse_element
 from colim.matrices import Matrix
 
-from conftest import FIXTURES, rank1
+from conftest import FIXTURES, rank1, recursion_limit, some_diagram
 
 X2 = str(FIXTURES / "x2.diag")
 X3 = str(FIXTURES / "x3.diag")
@@ -297,6 +300,13 @@ class TestSearch:
         assert code == 3
         assert "status: exhausted" in out
 
+    def test_too_deep_a_search_is_a_user_error(self, capsys):
+        with recursion_limit(150):
+            code, out, err = run(capsys, "search", X2, X2, "--depth", "120", "--bound", "2",
+                                 "--horizon", "120")
+        assert (code, out) == (2, [])
+        assert err.startswith("error: depth 120 needs more nested calls than") and err.count("\n") == 1
+
 
 class TestMapAndQueries:
     def test_map_forward(self, capsys):
@@ -379,6 +389,69 @@ class TestMapAndQueries:
         assert code == 2
         assert out == []
         assert "error: stage 0 below 1" in err
+
+
+def element_text(rng, seq, last):
+    """An element of ``seq`` at a stage up to ``last + 1``, as the CLI
+    reads it; some have the wrong length, and about one in ten is
+    malformed or names stage 0."""
+    if rng.random() < 0.1:
+        return rng.choice(["0:1", "1:x", "1", "2:1.5", "1:" + "9" * 5000])
+    stage = rng.randint(1, last + 1)
+    n = seq.rank_at(stage) if seq.has_stage(stage) else rng.randint(0, 3)
+    n += rng.random() < 0.1
+    return format_element(ColimitElement(stage, [rng.randint(-3, 3) for _ in range(n)]))
+
+
+def library_answer(command, seq, texts, m, horizon):
+    """The exit code, output lines and error text of a query command, read
+    off the library call it names: a ``ValueError``, a malformed element
+    included, is one ``error:`` line with exit 2."""
+    try:
+        es = [parse_element(t) for t in texts]
+        answer = {
+            "equal": lambda: colimit.equal_at(seq, *es, horizon),
+            "cone": lambda: colimit.cone_member(seq, *es, horizon),
+            "divisible": lambda: colimit.divisible(seq, *es, m, horizon),
+        }[command]()
+    except ValueError as exc:
+        return 2, [], f"error: {exc}\n"
+    lines = [f"answer: {answer.kind}"]
+    if answer.kind != "no":
+        lines.append(f"{'witness' if answer.kind == 'yes' else 'horizon'}: {answer.stage}")
+    return 0, lines, ""
+
+
+class TestQueriesMatchTheLibrary:
+    """``equal``, ``cone`` and ``divisible`` print what ``equal_at``,
+    ``cone_member`` and ``divisible`` answer, and the ``error:`` line of
+    what they or ``parse_element`` raise."""
+
+    def test_seeded_queries(self, capsys, tmp_path):
+        rng = random.Random(2929)
+        seen = Counter()
+        for n in range(300):
+            seq = some_diagram(rng, rng.choice(["plain", "simplicial"]), periodic=rng.random() < 0.5,
+                               mono=rng.random() < 0.3)
+            path = tmp_path / f"{n}.diag"
+            path.write_text(emit_diagram(seq))
+            command = ["equal", "cone", "divisible"][n % 3]
+            periodic = seq.period is not None
+            horizon = rng.choice([None, rng.randint(1, 40 if periodic else seq.length)])
+            default = max(12, seq.length) if periodic else seq.length
+            texts = [element_text(rng, seq, horizon or default) for _ in range(1 + (command == "equal"))]
+            m = rng.randint(0, 12)
+            argv = [command, str(path)]
+            argv += ["--e1", texts[0], "--e2", texts[1]] if command == "equal" else ["--element", texts[0]]
+            argv += ["--m", str(m)] if command == "divisible" else []
+            argv += ["--horizon", str(horizon)] if horizon is not None else []
+            want = library_answer(command, seq, texts, m, horizon or default)
+            assert run(capsys, *argv) == want, argv
+            seen[want[1][0] if want[1] else want[2]] += 1
+        assert {"answer: yes", "answer: no", "answer: unknown"} <= set(seen)
+        assert "error: cone membership is only defined in simplicial mode\n" in seen
+        assert "error: modulus must be >= 1\n" in seen
+        assert "error: element '1:x' has non-integer parts\n" in seen
 
 
 class TestInvariants:

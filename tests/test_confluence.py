@@ -20,7 +20,7 @@ from colim.confluence import (
 from colim.diagrams import SequenceDiagram, transition
 from colim.matrices import Matrix, iter_matrices, solve_matrix_eq
 
-from conftest import random_diagram, random_matrix, rank1
+from conftest import random_diagram, random_matrix, rank1, recursion_limit
 
 X2 = rank1([2, 2], period=(0, 1))
 X3 = rank1([3, 3], period=(0, 1))
@@ -453,6 +453,17 @@ class TestSearch:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             search_confluence(X2, FIB, SearchBudget(2, 2, 4, 100))
+
+    def test_too_deep_a_search_is_refused(self):
+        """``extend`` recurses once per map, so a depth-120 chain needs
+        about 240 nested calls; a recursion limit 150 frames above this
+        test's own depth refuses it as a ``ValueError``."""
+        with recursion_limit(150) as limit, pytest.raises(ValueError) as exc:
+            search_confluence(X2, X2, SearchBudget(120, 2, 120, 200000))
+        assert str(exc.value) == (
+            f"depth 120 needs more nested calls than the interpreter's recursion limit ({limit}) allows"
+        )
+        assert search_confluence(X2, X2, SearchBudget(120, 2, 120, 200000)).depth == 120
 
 
 @st.composite

@@ -29,9 +29,9 @@ from colim.confluence import (
     roundtrip_check,
 )
 from colim.diagrams import SequenceDiagram, push, transition, validate
-from colim.matrices import Matrix, is_injective, kernel_basis
+from colim.matrices import Matrix, kernel_basis
 
-from conftest import random_matrix
+from conftest import random_matrix, some_diagram
 
 LAST = 40
 
@@ -42,30 +42,6 @@ def outcome(fn):
         return "ok", fn()
     except Exception as exc:  # noqa: BLE001 - the comparison is the point
         return type(exc), str(exc)
-
-
-def some_diagram(rng, mode="plain", periodic=False, mono=False):
-    """A valid diagram with ranks in 0..3 (1..3 and square injective
-    transitions when ``mono``); a periodic one repeats its last
-    ``length`` transitions after a prefix of up to two."""
-    prefix, length = rng.randint(0, 2), rng.randint(1, 3)
-    stages = prefix + length + 1 if periodic else rng.randint(2, 6)
-    if mono:
-        ranks = [rng.randint(1, 3)] * stages
-    else:
-        ranks = [rng.randint(0, 3) for _ in range(stages)]
-        if periodic:
-            ranks[-1] = ranks[prefix]  # the period closes
-    transitions = []
-    for t in range(stages - 1):
-        while True:
-            m = random_matrix(rng, ranks[t + 1], ranks[t], 2, nonneg=mode == "simplicial")
-            if not mono or is_injective(m):
-                break
-        transitions.append(m)
-    seq = SequenceDiagram(mode, ranks, transitions, mono, (prefix, length) if periodic else None)
-    assert validate(seq).ok
-    return seq
 
 
 def vector(rng, n):
