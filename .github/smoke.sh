@@ -1,0 +1,30 @@
+#!/bin/sh
+# Fixture smoke: verify, map, search and invariants on fixtures/ through
+# the colim CLI, with the interpreter in $PYTHON (default python3).  It
+# needs no test dependency.  Run it from the root of a checkout:
+#   PYTHON=python3.13 sh .github/smoke.sh
+set -eu
+py=${PYTHON:-python3}
+F=fixtures
+
+check() {  # check EXIT-CODE EXPECTED-LINE COLIM-ARGS...
+    code=$1 want=$2
+    shift 2
+    got=0
+    out=$(PYTHONPATH=src "$py" -m colim.cli "$@") || got=$?
+    if [ "$got" != "$code" ] || ! printf '%s\n' "$out" | grep -qxF "$want"; then
+        printf 'colim %s: exit %s, expected %s with the line "%s"; output:\n%s\n' \
+            "$*" "$got" "$code" "$want" "$out" >&2
+        exit 1
+    fi
+}
+
+check 0 "status: accepted" verify $F/x2.diag $F/x4.diag $F/x2_x4.cert
+check 0 "status: accepted" verify $F/fib.diag $F/fib.diag $F/fib_self.cert
+check 0 "image: 51:2" map $F/x2.diag $F/x4.diag $F/x2_x4.cert --element 100:1
+check 0 "image: 201:4" map $F/x2.diag $F/x4.diag $F/x2_x4.cert --element 100:1 --backward
+check 0 "status: found" search $F/x2.diag $F/x4.diag
+check 3 "status: exhausted" search $F/x2.diag $F/x3.diag
+check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf" \
+    invariants $F/x2.diag $F/x3.diag
+echo "smoke ok on $("$py" --version)"

@@ -213,22 +213,36 @@ def induced_map(
 
     Forward uses the least chain node of diagram A with ``i_n >= stage``
     and its map ``f_n``; backward the least node of B with ``k_n >= stage``
-    and its map ``g_n``.  Well-defined up to colimit equality.  The
-    element moves to that node by :func:`~colim.diagrams.push`, one
+    and its map ``g_n``.  Well-defined up to colimit equality.  Past the
+    stored chain, a certificate whose periodic block is accepted goes on
+    forever: each node of its last stored period recurs every period,
+    its stages advanced by the declared index steps and its map kept.
+    The element moves to the node by :func:`~colim.diagrams.push`, one
     matrix-vector product per step, and through the map by one more.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction {direction!r}")
     side = direction == BACKWARD
     stages, maps = cert._chain
-    p = next((p for p in range(side, len(stages) - 1, 2) if stages[p] >= e.stage), None)
-    if p is None:
+    nodes = range(side, len(stages) - 1, 2)  # the nodes of this side with a stored target
+    p = next((p for p in nodes if stages[p] >= e.stage), None)
+    if p is not None:
+        node, target = stages[p], stages[p + 1]
+    elif cert.periodic is not None and _periodic_fault(seqA, seqB, cert) is None:
+        per = cert.periodic
+        steps = (per.index_step_a, per.index_step_b)
+        # the least number of whole periods that carries a node of the
+        # last stored period to the element's stage; its least node is
+        # the least node of the chain there
+        t, p = min((-((stages[q] - e.stage) // steps[side]), q) for q in nodes[-per.period_len:])
+        node, target = stages[p] + t * steps[side], stages[p + 1] + t * steps[not side]
+    else:
         last = f"last certificate index {stages[-2]}"
         reach = "the backward range of the certificate" if side else last
         raise ValueError(f"element stage {e.stage} beyond {reach}")
-    vec = push((seqA, seqB)[side], e.stage, stages[p], e.vec)
+    vec = push((seqA, seqB)[side], e.stage, node, e.vec)
     # a map without rows, read at its source stage's rank, sends vec to ()
-    return ColimitElement(stages[p + 1], maps[p].apply(vec) if maps[p].rows else ())
+    return ColimitElement(target, maps[p].apply(vec) if maps[p].rows else ())
 
 
 @dataclass

@@ -6,9 +6,11 @@ kernel basis, Smith normal form with unimodular transforms and the
 bounded enumerator for the integer solutions of ``X * K = T`` all call
 it, and it keeps every entry polynomial in the input size.  Rank
 questions are answered over the rationals instead, by fraction-free
-elimination on primitive rows, which builds no lattice basis.  Whether a
-kernel is zero is such a rank question, so the kernel of an injective
-map is answered by rank alone and builds no lattice either.
+elimination on primitive rows, which builds no lattice basis.  A kernel
+of corank 0 or 1 is such a rank question: the rows that elimination
+keeps give the zero kernel, or the primitive vector on the kernel line
+by back substitution, and build no lattice either.  Only a kernel of
+corank 2 or more goes through the Hermite kernel.
 """
 
 from __future__ import annotations
@@ -300,19 +302,20 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     )
 
 
-def rank(m: Matrix) -> int:
-    """Rank of ``m`` over the rationals, which is its rank over the integers.
+def _kept_rows(m: Matrix) -> list:
+    """The ``(pivot column, primitive row)`` pairs that fraction-free
+    elimination over the rationals keeps from the rows of ``m``, in the
+    order kept; there are :func:`rank` of them.
 
-    Fraction-free elimination on primitive integer rows, without the
-    Hermite kernel: a rank never reads the lattice basis that
-    :func:`_echelon` builds.  Each incoming row ``v`` is cleared at the
-    pivot column ``c`` of every kept row ``h``, in the order they were
-    kept, by ``v <- (p/g)*v - (b/g)*h`` with ``p = h[c]``, ``b = v[c]``
-    and ``g = gcd(p, b)``; a kept row is zero at the pivot columns of the
-    rows kept before it, so no step undoes another.  A row that ends
-    nonzero is divided by its content and kept, with its first nonzero
-    column as pivot.  The rank is the number of rows kept; the loop stops
-    once it reaches the column count.
+    Each incoming row ``v`` is cleared at the pivot column ``c`` of every
+    kept row ``h``, in the order they were kept, by
+    ``v <- (p/g)*v - (b/g)*h`` with ``p = h[c]``, ``b = v[c]`` and
+    ``g = gcd(p, b)``; a kept row is zero at the pivot columns of the rows
+    kept before it, so no step undoes another.  A row that ends nonzero
+    is divided by its content and kept, with its first nonzero column as
+    pivot.  The loop stops once it keeps as many rows as ``m`` has
+    columns, before that last row's content division, so only that row
+    may be left imprimitive.
 
     Size bound: the ``k``-th kept row (from 0) spans, with the rows kept
     before it, the same space as ``k + 1`` input rows and is zero at
@@ -325,7 +328,7 @@ def rank(m: Matrix) -> int:
     polynomially many bits in the input size.
     """
     cols = m.cols
-    kept = []  # (pivot column, primitive row), in the order kept
+    kept: list = []
     for v in m.entries:
         for c, h in kept:
             b = v[c]
@@ -338,41 +341,91 @@ def rank(m: Matrix) -> int:
                 v = [p * t - b * s for s, t in zip(h, v)]
         for c, x in enumerate(v):
             if x:
-                if len(kept) + 1 == cols:
-                    return cols
-                g = gcd(*v)
-                if g != 1:
-                    v = [t // g for t in v]
+                if len(kept) + 1 < cols:
+                    g = gcd(*v)
+                    if g != 1:
+                        v = [t // g for t in v]
                 kept.append((c, v))
+                if len(kept) == cols:
+                    return kept
                 break
-    return len(kept)
+    return kept
+
+
+def rank(m: Matrix) -> int:
+    """Rank of ``m`` over the rationals, which is its rank over the integers.
+
+    The number of rows that :func:`_kept_rows` keeps, by fraction-free
+    elimination on primitive integer rows, without the Hermite kernel: a
+    rank never reads the lattice basis that :func:`_echelon` builds.  The
+    loop stops once the rank reaches the column count, and every entry
+    stays within the bound that :func:`_kept_rows` states.
+    """
+    return len(_kept_rows(m))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of ``{x : m @ x = 0}`` as matrix columns.
 
-    Zero columns exactly when ``m`` is injective.  A zero kernel is a
-    rank question: :func:`is_injective` answers it and no lattice is
-    built.  Otherwise the columns are the left-kernel basis of ``m^T``
-    that :func:`_reduce` finds, the unique reduced Hermite basis of the
-    kernel lattice.
+    Zero columns exactly when ``m`` is injective.  The rows that
+    :func:`_kept_rows` keeps for :func:`rank` decide the corank, the
+    number of columns, and kernels of corank 0 and 1 are rank questions
+    that build no lattice.  Corank 0 gives no column.  Corank 1 gives
+    the primitive vector on the rational kernel line, with its first
+    nonzero entry positive, which is the reduced Hermite basis of a
+    rank-one lattice.  It is found by back substitution: the one column
+    that is no pivot is set to 1, and the kept rows, in reverse order,
+    each fix their pivot entry ``x[c] = -s/g`` after scaling the vector
+    so far by ``p/g``, where ``s`` is the row times the vector so far,
+    ``p`` the pivot and ``g = gcd(p, s)``.  A kept row is zero at the
+    pivots of the rows kept before it, so the entries it reads are
+    already final, and since ``p/g`` and ``s/g`` are coprime, a primitive
+    vector stays primitive.  A corank of 2 or more builds the lattice:
+    the columns are the left-kernel basis of ``m^T`` that :func:`_reduce`
+    finds, the unique reduced Hermite basis of the kernel lattice.
+
+    Size bound at corank 1, for ``n`` columns and ``r = n - 1`` kept
+    rows: the vector is primitive and proportional to the
+    ``(n-1)``-minors of the kept rows, which are those of ``n - 1`` input
+    rows, so it is within Hadamard's bound for them.  Each of the ``r``
+    substitution steps multiplies the vector by at most ``n`` times the
+    largest entry of a kept row, so an intermediate entry is at most
+    ``r`` such factors, each within the bound of :func:`_kept_rows`.
     """
-    if is_injective(m):
-        return Matrix.zero(m.cols, 0)
-    basis = _reduce(m.transpose())[2]
-    return Matrix._make(tuple(zip(*basis)), len(basis))
+    cols = m.cols
+    kept = _kept_rows(m)
+    corank = cols - len(kept)
+    if not corank:
+        return Matrix.zero(cols, 0)
+    if corank > 1:
+        basis = _reduce(m.transpose())[2]
+        return Matrix._make(tuple(zip(*basis)), len(basis))
+    x = [0] * cols
+    x[cols * (cols - 1) // 2 - sum([c for c, _ in kept])] = 1  # the one column that is no pivot
+    for c, h in reversed(kept):
+        s = sum(map(mul, h, x))
+        if s:
+            p = h[c]
+            g = gcd(p, s)
+            if g != p:
+                x = [t * (p // g) for t in x]
+            x[c] = -s // g
+    if x[next(j for j, t in enumerate(x) if t)] < 0:
+        x = [-t for t in x]
+    return Matrix._make(tuple([(t,) for t in x]), 1)
 
 
 def is_injective(m: Matrix) -> bool:
     """Whether ``m`` is injective as a map ``Z^cols -> Z^rows``: whether
     its :func:`rank` over the rationals is its column count, which is
-    whether its kernel is zero.  :func:`kernel_basis` asks it first, so
-    a zero kernel builds no lattice.
+    whether its kernel is zero.  Like the kernels of corank 0 and 1 in
+    :func:`kernel_basis`, it is a rank question and builds no lattice.
 
-    The work is that of :func:`rank`, with the same bound: the ``k``-th
-    kept row is primitive and proportional to a vector of ``(k+1)``-minors
-    of the rows, so within Hadamard's bound, and a row before its content
-    division is at most ``k`` such factors larger.
+    The work is that of :func:`rank`, with the bound of
+    :func:`_kept_rows`: the ``k``-th kept row is primitive and
+    proportional to a vector of ``(k+1)``-minors of the rows, so within
+    Hadamard's bound, and a row before its content division is at most
+    ``k`` such factors larger.
     """
     return rank(m) == m.cols
 

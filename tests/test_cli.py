@@ -319,6 +319,11 @@ class TestMapAndQueries:
         assert code == 0
         assert "image: 3:4" in out
 
+    @pytest.mark.parametrize("flags, image", [((), "51:2"), (("--backward",), "201:4")])
+    def test_map_past_the_stored_prefix_of_a_periodic_certificate(self, capsys, flags, image):
+        code, out, err = run(capsys, "map", X2, X4, X2_X4, "--element", "100:1", *flags)
+        assert (code, out, err) == (0, [f"image: {image}"], "")
+
     def test_equal(self, capsys):
         code, out, _ = run(capsys, "equal", X2, "--e1", "1:1", "--e2", "2:2", "--horizon", "4")
         assert code == 0

@@ -214,6 +214,34 @@ class TestInducedMap:
         with pytest.raises(ValueError):
             induced_map(X2, X4, X2_X4_CERT, BACKWARD, ColimitElement(3, [1]))
 
+    @pytest.mark.parametrize("seqB, cert", [
+        (X4, ConfluenceCertificate([1, 3, 5], [1, 2, 3], scalars(1, 1, 1), scalars(4, 4),
+                                   CertificatePeriod(2, 1, 1))),
+        # a period of two levels, whose index steps alternate 1, 2 and 2, 1
+        (X2, ConfluenceCertificate([1, 2, 4, 5], [1, 3, 4, 6], scalars(1, 2, 1, 2),
+                                   scalars(2, 2, 2), CertificatePeriod(3, 3, 2))),
+    ])
+    def test_accepted_period_maps_past_the_stored_prefix(self, rng, seqB, cert):
+        """Past its stored prefix, a certificate whose periodic block is
+        accepted maps as the same chain unrolled to 110 levels does."""
+        per = cert.periodic
+        i, k, f, g = (list(x) for x in (cert.i_indices, cert.k_indices, cert.f_mats, cert.g_mats))
+        while len(i) < 110:
+            n = len(i) - per.period_len
+            i.append(i[n] + per.index_step_a)
+            k.append(k[n] + per.index_step_b)
+            f.append(f[n])
+            g.append(g[n - 1])
+        unrolled = ConfluenceCertificate(i, k, f, g)
+        assert verify_certificate(X2, seqB, unrolled).accepted
+        assert verify_certificate(X2, seqB, cert).periodic_accepted
+        for direction, seq, reach in ((FORWARD, X2, i[-1]), (BACKWARD, seqB, k[-2])):
+            for stage in range(1, reach + 1):
+                e = ColimitElement(stage, [rng.randint(-9, 9)])
+                assert induced_map(X2, seqB, cert, direction, e) == induced_map(
+                    X2, seqB, unrolled, direction, e
+                )
+
     def test_cocone_coherence(self, rng):
         # forward images of an element and of its pushforward agree
         for _ in range(20):

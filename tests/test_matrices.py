@@ -410,16 +410,17 @@ class TestRankOverRationals:
         assert max(widest) <= 1 + sum(r * norm_bits for r in range(1, 33))
 
 
+def refuse_echelon(a):
+    raise AssertionError("the Hermite kernel was reached")
+
+
 class TestRankBuildsNoLattice:
-    """Rank questions never reach the Hermite kernel, and neither does a
-    zero kernel; lattice questions, a nonzero kernel among them, still
-    do."""
+    """Rank questions never reach the Hermite kernel, and neither do
+    kernels of corank 0 and 1; lattice questions, kernels of corank 2
+    among them, still do."""
 
     def test_rank_answers_without_echelon(self, monkeypatch):
-        def refuse(a):
-            raise AssertionError("the Hermite kernel was reached")
-
-        monkeypatch.setattr(matrices, "_echelon", refuse)
+        monkeypatch.setattr(matrices, "_echelon", refuse_echelon)
         rng = random.Random("guard:8")
         transitions = [seeded_square(rng, 8, t % 2 == 1) for t in range(6)]
         singular = [t for t, m in enumerate(transitions, start=1) if bareiss_rank(m) < 8]
@@ -434,8 +435,69 @@ class TestRankBuildsNoLattice:
         for lattice_question in (snf, lambda k: solve_matrix_eq(k, k)):
             with pytest.raises(AssertionError, match="^the Hermite kernel was reached$"):
                 lattice_question(m)
+        line, plane = dependent_rows(rng, 8, 8, 7, 4), dependent_rows(rng, 8, 8, 6, 4)
+        assert (bareiss_rank(line), bareiss_rank(plane)) == (7, 6)
+        k = kernel_basis(line)
+        assert k.cols == 1 and line * k == Matrix.zero(8, 1)
         with pytest.raises(AssertionError, match="^the Hermite kernel was reached$"):
-            kernel_basis(transitions[singular[0] - 1])
+            kernel_basis(plane)
+
+
+def corank_one_inputs():
+    """Seeded maps whose kernel has rank one: squares for n = 2..16 of
+    rank n - 1, tall maps, wide maps with one row fewer than columns,
+    each with entries up to 9 and up to 2**40, and the 0x1 map."""
+    rng = random.Random("corank-one")
+    out = [Matrix.zero(0, 1)]
+
+    def add(cols, make):
+        while bareiss_rank(m := make()) != cols - 1:
+            pass
+        out.append(m)
+
+    for bound in (9, 2**40):
+        for n in range(2, 17):
+            for _ in range(8):
+                add(n, lambda: dependent_rows(rng, n, n, n - 1, bound))
+        for cols in range(2, 11):
+            for rows in range(cols + 1, cols + 5):
+                for _ in range(2):
+                    add(cols, lambda: dependent_rows(rng, rows, cols, cols - 1, bound))
+        for cols in range(2, 17):
+            for _ in range(4):
+                add(cols, lambda: random_matrix(rng, cols - 1, cols, bound))
+    return out
+
+
+class TestCorankOneKernel:
+    """A kernel of rank one comes from back substitution through the rows
+    that ``rank`` keeps, without the Hermite kernel, and is the basis that
+    ``_reduce`` finds for the same map."""
+
+    def test_back_substitution_is_the_reduced_hermite_basis(self, monkeypatch):
+        inputs = corank_one_inputs()
+        assert len(inputs) >= 500
+        operands = []
+
+        def recording_gcd(*args):
+            operands.extend(args)
+            return gcd(*args)
+
+        for m in inputs:
+            want = _reduce(m.transpose())[2]
+            operands.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(matrices, "_echelon", refuse_echelon)
+                patched.setattr(matrices, "gcd", recording_gcd)
+                k = kernel_basis(m)
+            assert k.transpose().entries == tuple(want)
+            # the stated bound: the result within Hadamard's bound for
+            # n - 1 rows, every intermediate within n - 1 factors of n
+            # times that bound
+            n = m.cols
+            hadamard2 = max((sum(x * x for x in r) for r in m.entries), default=0) ** (n - 1)
+            assert all(x * x <= hadamard2 for x in k.col(0))
+            assert all(x * x <= (n * n * hadamard2) ** (n - 1) for x in operands)
 
 
 def tall_map(rng, rows, cols, injective):
