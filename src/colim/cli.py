@@ -212,16 +212,19 @@ def _cmd_invariants(args) -> int:
 
 
 def _integer(text: str) -> int:
-    """The value of an integer option.  argparse quotes a value that
-    ``type=int`` refuses in full, so a refused one is quoted here through
-    ``reprlib``, with the digit limit when a decimal literal is past it."""
+    """The value of an integer option: an ASCII decimal literal, as in an
+    element (``int`` alone would also take underscores and other
+    scripts' digits).  argparse quotes a value that ``type=int`` refuses
+    in full, so a refused one is quoted here through ``reprlib``, with
+    the digit limit when a decimal literal is past it."""
+    literal = _DECIMAL.fullmatch(text)
     try:
-        return int(text)
-    except ValueError:
-        # int refuses a decimal literal only when it is too long
-        limit = sys.get_int_max_str_digits()
-        past = f" (past the {limit}-digit limit)" if _DECIMAL.fullmatch(text) else ""
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}{past}") from None
+        if literal:
+            return int(text)
+    except ValueError:  # int refuses a decimal literal only when it is too long
+        pass
+    past = f" (past the {sys.get_int_max_str_digits()}-digit limit)" if literal else ""
+    raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}{past}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,10 +22,12 @@ per stored step; the only composite matrix built is the ``a_ij`` that
 ``eventual_equalizer`` compares with ``p``.  Comparisons walk one vector:
 ``equal_at`` the difference of the two elements, ``eventual_equalizer``
 the columns of ``p - a_ij``; the witness is the first stage at which it
-is zero.  ``factor_through_stage`` walks its own loop, since it returns
-the pushed columns.  On a diagram that :func:`~colim.diagrams.validate`
-rejects every query raises ``invalid diagram: <first violation>``, since
-such a diagram has no stages to read.
+is zero.  A query whose start stage is past the horizon walks nothing:
+it pushes no element and builds no ``a_ij``.  ``factor_through_stage``
+walks its own loop, since it returns the pushed columns.  On a diagram
+that :func:`~colim.diagrams.validate` rejects every query raises
+``invalid diagram: <first violation>``, since such a diagram has no
+stages to read.
 """
 
 from __future__ import annotations
@@ -159,10 +161,12 @@ def equal_at(
     """
     _check(seq, horizon, e1, e2)
     start = max(e1.stage, e2.stage)
-    x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
-    diff = tuple(map(sub, x1, x2))
+    diffs = []
+    if start <= horizon:  # past the horizon the walk is empty: nothing is pushed
+        x1, x2 = [push(seq, e.stage, start, e.vec) for e in (e1, e2)]
+        diffs.append(tuple(map(sub, x1, x2)))
     settled = start if seq.mono_required else None
-    return _first(seq, start, [diff], horizon, lambda pushed: not any(pushed[0]), settled, links=1)
+    return _first(seq, start, diffs, horizon, lambda pushed: not any(pushed[0]), settled, links=1)
 
 
 def eventual_equalizer(
@@ -179,9 +183,11 @@ def eventual_equalizer(
     want = (seq.rank_at(j), seq.rank_at(i))
     if (p.rows, p.cols) != want:
         raise ValueError(f"p has shape {p.rows}x{p.cols}, expected {want[0]}x{want[1]}")
-    a_ij = transition(seq, i, j)
-    # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
-    cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
+    cols = []
+    if j <= horizon:  # past the horizon the walk is empty: a_ij is not built
+        a_ij = transition(seq, i, j)
+        # a_{i,i0} = a_{j,i0} * a_ij, so the columns of a_{j,i0} * (p - a_ij)
+        cols = [tuple(map(sub, p.col(c), a_ij.col(c))) for c in range(p.cols)]
     settled = j if seq.mono_required else None
     return _first(seq, j, cols, horizon, lambda pushed: not any(map(any, pushed)), settled, links=1)
 
@@ -200,6 +206,8 @@ def factor_through_stage(
         raise ValueError("need at least one image")
     _check(seq, horizon, *images)
     start = max(e.stage for e in images)
+    if start > horizon:  # an empty walk: nothing is pushed
+        return None
     cols = [push(seq, e.stage, start, e.vec) for e in images]
     for i0, pushed in _walk(seq, start, cols, horizon):
         if not (seq.simplicial and any(x < 0 for c in pushed for x in c)):

@@ -77,60 +77,23 @@ class ConfluenceCertificate:
 
 @dataclass
 class VerifyReport:
-    accepted: bool = True
+    """What :func:`verify_certificate` found.  ``accepted`` is read off
+    ``failures``: a certificate is accepted when nothing fails.
+    ``periodic_accepted`` is ``None`` without a periodic claim, else
+    whether the claim holds, and a note says why."""
+
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     periodic_accepted: Optional[bool] = None
 
-    def fail(self, message: str) -> None:
-        self.accepted = False
-        self.failures.append(message)
+    @property
+    def accepted(self) -> bool:
+        return not self.failures
 
 
 def _name(p: int) -> str:
     """Name of the map at chain position ``p``: ``f_n`` or ``g_n``."""
     return f"{'fg'[p % 2]}_{p // 2 + 1}"
-
-
-def _structural_check(
-    seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate, report: VerifyReport
-) -> Optional[tuple]:
-    """The chain's maps if the certificate is well formed, else None.
-    A map without rows is read at the rank of its source stage, since
-    the text formats write every ``0 x n`` matrix as ``[]``."""
-    m = cert.depth
-    if m < 2:
-        report.fail(f"certificate depth {m} < 2")
-        return None
-    if len(cert.k_indices) != m or len(cert.f_mats) != m:
-        report.fail("index and map counts disagree with the certificate depth")
-        return None
-    if len(cert.g_mats) not in (m - 1, m):
-        report.fail(f"expected {m - 1} (or {m}) backward maps, got {len(cert.g_mats)}")
-        return None
-    for name, idx in (("i", cert.i_indices), ("k", cert.k_indices)):
-        if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
-            report.fail(f"{name}-indices must be strictly increasing and positive")
-            return None
-    seqs, (stages, maps) = (seqA, seqB), cert._chain
-    if not all(seqs[q].has_stage(s) for q, s in enumerate(stages[-2:])):
-        report.fail("certificate stages exceed the diagram truncations")
-        return None
-    ranks = [seqs[p % 2].rank_at(s) for p, s in enumerate(stages)]
-    maps = tuple(h if h.rows else Matrix.zero(0, ranks[p]) for p, h in enumerate(maps))
-    ok = True
-    # report order: all f_n, then all g_n
-    for p in [*range(0, len(maps), 2), *range(1, len(maps), 2)]:
-        h = maps[p]
-        # the trailing g has no stored target stage; only its source is checkable
-        rows = ranks[p + 1] if p + 1 < len(ranks) else h.rows
-        if (h.rows, h.cols) != (rows, ranks[p]):
-            report.fail(f"{_name(p)} has shape {h.rows}x{h.cols}, expected {rows}x{ranks[p]}")
-            ok = False
-        elif seqA.simplicial and not h.is_nonnegative():
-            report.fail(f"{_name(p)} has a negative entry in simplicial mode")
-            ok = False
-    return maps if ok else None
 
 
 def _periodic_fault(
@@ -169,24 +132,58 @@ def verify_certificate(
     seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate
 ) -> VerifyReport:
     """Check all certificate invariants and the two families of exact
-    matrix identities; the report pinpoints the first failing equation."""
+    matrix identities in one pass, top to bottom: the two diagrams, their
+    modes, the depth and counts, the index order, the truncations, the
+    shape and signs of every map (all ``f_n``, then all ``g_n``) and the
+    equations.  The first step that fails ends the check with its
+    failures: each invalid diagram, each bad map, or the first failing
+    equation.  A map without rows is read at the rank of its source
+    stage, since the text formats write every ``0 x n`` matrix as ``[]``."""
     report = VerifyReport()
+    fail = report.failures.append
     for name, seq in (("A", seqA), ("B", seqB)):
         bad = validate(seq)
         if not bad.ok:
-            report.fail(f"diagram {name} is invalid: {bad.violations[0]}")
+            fail(f"diagram {name} is invalid: {bad.violations[0]}")
     if not report.accepted:
         return report
     if seqA.mode != seqB.mode:
-        report.fail("diagrams have different modes")
+        fail("diagrams have different modes")
         return report
-    maps = _structural_check(seqA, seqB, cert, report)
-    if maps is None:
+    m = cert.depth
+    if m < 2:
+        fail(f"certificate depth {m} < 2")
         return report
-    seqs, stages = (seqA, seqB), cert._chain[0]
+    if len(cert.k_indices) != m or len(cert.f_mats) != m:
+        fail("index and map counts disagree with the certificate depth")
+        return report
+    if len(cert.g_mats) not in (m - 1, m):
+        fail(f"expected {m - 1} (or {m}) backward maps, got {len(cert.g_mats)}")
+        return report
+    for name, idx in (("i", cert.i_indices), ("k", cert.k_indices)):
+        if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
+            fail(f"{name}-indices must be strictly increasing and positive")
+            return report
+    seqs, (stages, maps) = (seqA, seqB), cert._chain
+    if not all(seqs[q].has_stage(s) for q, s in enumerate(stages[-2:])):
+        fail("certificate stages exceed the diagram truncations")
+        return report
+    ranks = [seqs[p % 2].rank_at(s) for p, s in enumerate(stages)]
+    maps = tuple(h if h.rows else Matrix.zero(0, ranks[p]) for p, h in enumerate(maps))
+    # report order: all f_n, then all g_n
+    for p in [*range(0, len(maps), 2), *range(1, len(maps), 2)]:
+        h = maps[p]
+        # the trailing g has no stored target stage; only its source is checkable
+        rows = ranks[p + 1] if p + 1 < len(ranks) else h.rows
+        if (h.rows, h.cols) != (rows, ranks[p]):
+            fail(f"{_name(p)} has shape {h.rows}x{h.cols}, expected {rows}x{ranks[p]}")
+        elif seqA.simplicial and not h.is_nonnegative():
+            fail(f"{_name(p)} has a negative entry in simplicial mode")
+    if not report.accepted:
+        return report
     for p in range(len(stages) - 2):
         if maps[p + 1] * maps[p] != transition(seqs[p % 2], stages[p], stages[p + 2]):
-            report.fail(
+            fail(
                 f"equation ({p % 2 + 1}) fails at level n={p // 2 + 1}: "
                 f"{_name(p + 1)}*{_name(p)} != {'ab'[p % 2]}-transition"
             )

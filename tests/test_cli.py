@@ -254,6 +254,14 @@ class TestIntegerOptions:
         line = self.usage_error(capsys, [*argv, "x"])
         assert line.endswith(f"argument {argv[-1]}: invalid int value: 'x'")
 
+    @pytest.mark.parametrize("value", ["1_0", "٣", "１"])
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_only_ascii_decimal_literals(self, capsys, argv, value):
+        """``int`` takes underscores and other scripts' digits; an option
+        takes what an element part takes (see ``test_formats.py``)."""
+        line = self.usage_error(capsys, [*argv, value])
+        assert line.endswith(f"argument {argv[-1]}: invalid int value: '{value}'")
+
     def test_long_value_that_is_not_a_literal(self, capsys):
         line = self.usage_error(capsys, ["equal", X2, "--e1", "1:1", "--e2", "1:1", "--horizon", "9" * 5000 + "x"])
         assert line.endswith("argument --horizon: invalid int value: '999999999999...999999999999x'")

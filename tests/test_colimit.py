@@ -128,6 +128,28 @@ class TestFactorThroughStage:
                 assert equal_at(seq, ColimitElement(i0, g.col(k)), e, 4).is_yes
 
 
+class TestStartPastTheHorizon:
+    """A query whose start stage is past the horizon walks nothing: it
+    neither pushes its elements to the start stage nor builds ``a_ij``.
+    Its only steps resolve the ranks of stage 12 and of the far stage,
+    which x2 covers by its period; a walk from stage 1 to 10**7 would
+    take ten million."""
+
+    FAR = 10**7
+
+    @pytest.mark.parametrize("query, answer", [
+        (lambda far: equal_at(X2, ColimitElement(far, [1]), ColimitElement(1, [1]), 12), Trilean.unknown(12)),
+        (lambda far: eventual_equalizer(X2, 1, far, Matrix([[1]]), 12), Trilean.unknown(12)),
+        (lambda far: factor_through_stage(X2, [ColimitElement(far, [1]), ColimitElement(1, [1])], 12), None),
+    ], ids=["equal_at", "eventual_equalizer", "factor_through_stage"])
+    def test_no_step_is_taken(self, monkeypatch, query, answer):
+        calls = []
+        step = SequenceDiagram._step
+        monkeypatch.setattr(SequenceDiagram, "_step", lambda seq, i: calls.append(i) or step(seq, i))
+        assert query(self.FAR) == answer
+        assert set(calls) <= {11, self.FAR - 1}
+
+
 class TestConeAndDivisible:
     def test_cone_examples(self):
         x2s = SequenceDiagram("simplicial", [1, 1], [Matrix([[2]])], False, (0, 1))

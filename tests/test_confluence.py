@@ -168,6 +168,12 @@ class TestVerify:
          "expected 1 (or 2) backward maps, got 3"),
         (rank1([4, 4]), ConfluenceCertificate([1, 3], [1, 5], scalars(1, 1), scalars(4)),
          "certificate stages exceed the diagram truncations"),
+        (X4, ConfluenceCertificate([1, 1], [1, 2], scalars(1, 1), scalars(4)),
+         "i-indices must be strictly increasing and positive"),
+        (X4, ConfluenceCertificate([1, 3], [0, 1], scalars(1, 1), scalars(4)),
+         "k-indices must be strictly increasing and positive"),
+        (rank1([4, 4], mode="simplicial"), ConfluenceCertificate([1, 3], [1, 2], scalars(1, 1), scalars(4)),
+         "diagrams have different modes"),
     ])
     def test_structural_rejection(self, seqB, cert, failure):
         report = verify_certificate(X2, seqB, cert)
