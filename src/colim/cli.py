@@ -46,6 +46,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 ({exc.reason} at offset {exc.start})") from None
 
 
 def _write(path: str, text: str) -> None:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, push, transition, validate
-from .matrices import Matrix, _integers, iter_matrices, solve_matrix_eq
+from .matrices import Matrix, _box, _integers, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -335,19 +335,35 @@ def _column_contents(t: Matrix) -> tuple:
     return tuple(math.gcd(*v) for v in _projections(t))
 
 
-def _column_gcds_refute(k: Matrix, contents: tuple) -> bool:
+def _column_gcds_refute(rows: tuple, width: int, contents: tuple) -> bool:
     """Whether ``h * k = t`` has no integer solution because of one
-    projection, given ``contents = _column_contents(t)``: ``t * y`` is
+    projection, for the ``k`` with the entry rows ``rows`` and ``width``
+    columns, given ``contents = _column_contents(t)``: ``t * y`` is
     ``h * (k * y)``, so the content of ``t * y`` is a multiple of the
     content of ``k * y`` (zero when that content is zero)."""
-    # the loop stops at the first refuting projection: written as ``any``
-    # over ``_column_contents(k)`` it takes every gcd first, and
-    # ``search``'s op_p50 rose from 0.81-0.88 ms to 0.91-0.97 ms (six
-    # alternated pairs, 2 vCPU, CPython 3.11)
-    for v, tg in zip(_projections(k), contents):
-        g = math.gcd(*v)
+    # the projections of :func:`_projections`, in its order, written out;
+    # the loop stops at the first refuting one.  Through the generator the
+    # 50,335 screens of 600 bench-shaped library searches took 85-87 ms,
+    # here 57-58 ms (2 vCPU, CPython 3.11.7).  Written as ``any`` over
+    # ``_column_contents(k)`` it takes every gcd first, and ``search``'s
+    # op_p50 rose from 0.81-0.88 ms to 0.91-0.97 ms (six alternated
+    # pairs, 2 vCPU, CPython 3.11)
+    gcd = math.gcd
+    columns = list(zip(*rows)) if rows else [()] * width
+    n = 0
+    for v in columns:
+        g, tg = gcd(*v), contents[n]
         if tg % g if g else tg:
             return True
+        n += 1
+    for a, b in itertools.combinations(columns, 2):
+        g, tg = gcd(*map(operator.add, a, b)), contents[n]
+        if tg % g if g else tg:
+            return True
+        g, tg = gcd(*map(operator.sub, a, b)), contents[n + 1]
+        if tg % g if g else tg:
+            return True
+        n += 2
     return False
 
 
@@ -377,7 +393,11 @@ class _Search:
     ``K``), and ``halves``, which maps each half-level met so far,
     ``(side, start stage, K cols, K entries)``, to ``(solver, live
     targets)``, or ``()`` when it is dead.  Entry tuples hash faster than
-    a Matrix; a ``K`` without rows needs its width in the key.
+    a Matrix; a ``K`` without rows needs its width in the key.  The loop
+    of :meth:`extend` that enumerates the candidates for ``K`` looks each
+    one's key up once and screens a new key there, on its entry tuples,
+    so a candidate whose half-level is dead builds no ``Matrix`` and
+    makes no call.
 
     A live target is ``[next stage, substitution, streams]``.  Its row
     streams are built the first time the search enters it, and its
@@ -394,14 +414,12 @@ class _Search:
         self.halves: dict = {}
 
     def _live(self, side: int, start: int, k: Matrix) -> tuple:
-        """A new half-level: ``()`` when it has no target, the projection
-        contents refute its horizon target or the horizon system has no
-        integer solution, else its solver and its live targets, found by
-        substituting back from the horizon to the first inconsistent
-        target."""
-        targets, contents = self.composites[side](start)
-        if not targets or _column_gcds_refute(k, contents):
-            return ()
+        """A new half-level whose side has a target from ``start`` and
+        whose ``k`` passed :meth:`extend`'s screen: ``()`` when the
+        horizon system has no integer solution, else its solver and its
+        live targets, found by substituting back from the horizon to the
+        first inconsistent target."""
+        targets = self.composites[side](start)[0]
         solver = self.solvers.get((k.cols, k.entries))
         if solver is None:
             solver = self.solvers[k.cols, k.entries] = solve_matrix_eq(k, targets[-1][1], self.constraint, self.budget.entry_bound)
@@ -414,37 +432,50 @@ class _Search:
         live.reverse()
         return (solver, live) if live else ()
 
-    def extend(self, stages: list, maps: list) -> Optional[ConfluenceCertificate]:
-        """One half-level: the next map ``h`` solves
-        ``h * maps[-1] = transition(stages[-2], next)`` on the side of
-        ``stages[-2]``.  ``stages`` and ``maps`` grow and shrink in place.
-        Entering a live target for the first time builds its row
-        streams."""
-        if len(maps) == self.leaf:
-            return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
-        side, k = len(stages) % 2, maps[-1]
-        key = (side, stages[-2], k.cols, k.entries)
-        half = self.halves.get(key)
-        if half is None:
-            half = self.halves[key] = self._live(side, stages[-2], k)
-        if not half:
-            return None
-        solver, live = half
-        tick, rows = self.nodes.tick, k.rows
-        for target in live:
-            nxt, solved, streams = target
-            if streams is None:
-                streams = target[2] = solver.row_streams(solved)
-                target[1] = None
-            stages.append(nxt)
-            for entries in itertools.product(*streams):
+    def extend(self, stages: list, maps: list, candidates, cols: int) -> Optional[ConfluenceCertificate]:
+        """Walk ``candidates``, the entry tuples of the next map's
+        candidates, ``cols`` columns each, from ``stages[-2]`` to
+        ``stages[-1]``; each is one node.  At the leaf the first one
+        completes the certificate.  Below it, a candidate ``k`` opens the
+        half-level ``h * k = transition(stages[-2], next)`` on the side
+        of ``stages[-2]``: a key met before is one lookup, and a new key
+        is dead, with no ``Matrix`` built, when the side has no target
+        from there or the screen refutes its horizon target.  Only a live
+        candidate joins ``maps``, as its solver's ``K``, and gets one
+        recursive call per live target, whose row streams are built when
+        it is first entered.  ``stages`` and ``maps`` grow and shrink in
+        place."""
+        tick = self.nodes.tick
+        if len(maps) + 1 == self.leaf:
+            for entries in candidates:
                 tick()
-                maps.append(Matrix._make(entries, rows))
-                found = self.extend(stages, maps)
+                maps.append(Matrix._make(entries, cols))
+                return ConfluenceCertificate(stages[0::2], stages[1::2], maps[0::2], maps[1::2])
+            return None
+        side, start, halves = len(stages) % 2, stages[-2], self.halves
+        for entries in candidates:
+            tick()
+            key = (side, start, cols, entries)
+            half = halves.get(key)
+            if half is None:
+                targets, contents = self.composites[side](start)
+                dead = not targets or _column_gcds_refute(entries, cols, contents)
+                half = halves[key] = () if dead else self._live(side, start, Matrix._make(entries, cols))
+            if not half:
+                continue
+            solver, live = half
+            maps.append(solver.k)
+            for target in live:
+                nxt, solved, streams = target
+                if streams is None:
+                    streams = target[2] = solver.row_streams(solved)
+                    target[1] = None
+                stages.append(nxt)
+                found = self.extend(stages, maps, itertools.product(*streams), len(entries))
                 if found is not None:
                     return found
-                maps.pop()
-            stages.pop()
+                stages.pop()
+            maps.pop()
         return None
 
 
@@ -486,14 +517,17 @@ def search_confluence(
     of ``T * y``.  The screen projects on each column ``y = e_c`` and on
     ``y = e_a + e_b`` and ``y = e_a - e_b`` for every two columns
     ``a < b``.  The contents of the horizon target of each side and ``s``
-    are taken once per search; a new half-level compares the contents of
-    ``K``'s projections with them first, the columns and then the pairs,
-    and the first mismatch makes the half-level dead with no elimination.
-    A refuted system has no integer solution at all, so the screen changes
-    no node, order or certificate.  It costs ``O(cols**2 * rows)`` gcd
-    and addition steps per new ``K``; on the benchmark's library searches
-    it refutes about 95% of the inconsistent horizon systems, where the
-    columns alone refute about 77%.
+    are taken once per search.  The screen runs in the loop that
+    enumerates the candidates for ``K``, once per new key, on the
+    candidate's entry tuples: it compares the contents of ``K``'s
+    projections with the target's, the columns and then the pairs, and
+    the first mismatch makes the half-level dead before a ``Matrix`` is
+    built, an elimination runs or the search recurses.  A refuted system
+    has no integer solution at all, so the screen changes no node, order
+    or certificate.  It costs ``O(cols**2 * rows)`` gcd and addition
+    steps per new key; on the benchmark's library searches it refutes
+    about 95% of the inconsistent horizon systems, where the columns
+    alone refute about 77%.
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")
@@ -509,13 +543,11 @@ def search_confluence(
     try:
         for i1 in range(1, ha + 1):
             for k1 in range(1, hb + 1):
-                for f1 in iter_matrices(
-                    seqB.rank_at(k1), seqA.rank_at(i1), budget.entry_bound, seqA.simplicial
-                ):
-                    nodes.tick()
-                    found = search.extend([i1, k1], [f1])
-                    if found is not None:
-                        return found
+                cols = seqA.rank_at(i1)
+                box = _box(seqB.rank_at(k1), cols, budget.entry_bound, seqA.simplicial)
+                found = search.extend([i1, k1], [], box, cols)
+                if found is not None:
+                    return found
     except _OutOfNodes:
         return None
     except RecursionError:

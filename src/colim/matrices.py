@@ -445,11 +445,17 @@ def matrix_values(entry_bound: int, nonnegative: bool) -> list:
     return vals
 
 
+def _box(rows: int, cols: int, entry_bound: int, nonnegative: bool) -> Iterator[tuple]:
+    """The entry tuples of the matrices of :func:`iter_matrices`, in its
+    order, for a caller that builds a ``Matrix`` only for some of them."""
+    vals = matrix_values(entry_bound, nonnegative)
+    return itertools.product(itertools.product(vals, repeat=cols), repeat=rows)
+
+
 def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = False) -> Iterator[Matrix]:
     """All ``rows x cols`` matrices with entries within the bound, in
     deterministic position-lexicographic order with small magnitudes first."""
-    vals = matrix_values(entry_bound, nonnegative)
-    for entries in itertools.product(itertools.product(vals, repeat=cols), repeat=rows):
+    for entries in _box(rows, cols, entry_bound, nonnegative):
         yield Matrix._make(entries, cols)
 
 

@@ -188,6 +188,7 @@ BAD_DIAGRAMS = {
     "malformed JSON": "{not json",
     "float entry": '{"mode": "plain", "ranks": [1, 1], "transitions": [[[2.5]]]}',
     "bad mode": '{"mode": "weird", "ranks": [1, 1], "transitions": [[[2]]]}',
+    "not UTF-8": b"\xff\xfe{}",
 }
 
 
@@ -207,9 +208,24 @@ class TestErrorsAcrossCommands:
     @pytest.mark.parametrize("fault", BAD_DIAGRAMS)
     def test_bad_diagram(self, capsys, tmp_path, monkeypatch, command, fault):
         monkeypatch.chdir(tmp_path)
-        if BAD_DIAGRAMS[fault] is not None:
-            Path("a.diag").write_text(BAD_DIAGRAMS[fault])
+        doc = BAD_DIAGRAMS[fault]
+        if doc is not None:
+            Path("a.diag").write_bytes(doc.encode() if isinstance(doc, str) else doc)
         assert "a.diag" in self.run_bad(capsys, command, a="a.diag")
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if X2_X4 in COMMANDS[c]])
+    def test_certificate_not_utf8(self, capsys, tmp_path, command):
+        # documents are UTF-8: other bytes are a read error, as a missing file is
+        path = tmp_path / "a.cert"
+        path.write_bytes(Path(X2_X4).read_bytes()[:-2] + b"\xc3")  # a cut multibyte character
+        argv = [str(path) if arg == X2_X4 else arg.format(A=X2, E="1:1") for arg in COMMANDS[command]]
+        assert run(capsys, command, *argv) == (2, [], f"error: cannot read {path}: not UTF-8 (unexpected end of data at offset {path.stat().st_size - 1})\n")
+
+    def test_utf8_document_reads_as_utf8(self, capsys, tmp_path):
+        path = tmp_path / "a.diag"
+        path.write_bytes('{"mode": "pla\u00efn", "ranks": [1]}'.encode())
+        message = """mode must be "plain" or "simplicial", got 'pla\u00efn'"""
+        assert run(capsys, "validate", str(path)) == (2, [], f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if "{E}" in COMMANDS[c]])
     def test_long_coordinate(self, capsys, command):

@@ -332,19 +332,24 @@ class TestSearch:
         # only the first visit screens the horizon target and walks the
         # targets, every later one is a lookup in the search's table
         live, screen, extend = confluence._Search._live, confluence._column_gcds_refute, confluence._Search.extend
-        resolved, screened, visits = [], [], []
+        resolved, resolved_systems, screened, visits = [], [], [], []
 
         def recorded_live(search, side, start, k):
             resolved.append((side, start, k))
+            resolved_systems.append((k, search.composites[side](start)[1]))
             return live(search, side, start, k)
 
-        def recorded_screen(k, t):
-            screened.append((k, t))
-            return screen(k, t)
+        def recorded_screen(rows, width, t):
+            screened.append((Matrix(rows, cols=width), t))
+            return screen(rows, width, t)
 
-        def counted_extend(search, stages, maps):
-            visits.append(len(maps))
-            return extend(search, stages, maps)
+        def counted_extend(search, stages, maps, candidates, cols):
+            def visited():  # each candidate is one visit to its half-level
+                for entries in candidates:
+                    visits.append(len(maps) + 1)
+                    yield entries
+
+            return extend(search, stages, maps, visited(), cols)
 
         monkeypatch.setattr(confluence._Search, "_live", recorded_live)
         monkeypatch.setattr(confluence, "_column_gcds_refute", recorded_screen)
@@ -352,10 +357,91 @@ class TestSearch:
         assert search_confluence(X2, X3, SearchBudget(3, 8, 12, 200000)) is None
         assert len(resolved) == len(set(resolved))
         # X2's targets are powers of 2 and X3's powers of 3, so a horizon
-        # target names its side and start stage
-        assert len(screened) == len(set(screened)) <= len(resolved)
+        # target names its side and start stage; the screen runs before
+        # the resolution, and every half-level it passes is resolved
+        assert len(screened) == len(set(screened)) >= len(resolved)
+        passed = [(k, t) for k, t in screened if not screen(k.entries, k.cols, t)]
+        assert set(passed) == set(resolved_systems) and len(passed) == len(resolved)
         half_levels = [n for n in visits if n < 5]  # a fifth map completes depth 3
         assert len(half_levels) > 10 * len(resolved)
+
+    def test_dead_candidates_build_nothing(self, rng, monkeypatch):
+        # the loop over a map's candidates decides a new key's half-level
+        # right after the candidate's visit: no target or a refuting
+        # screen makes it dead, else ``_live`` resolves it; a dead key,
+        # new or found in the table, reaches neither ``_live`` nor a
+        # recursive ``extend``, and no key is screened twice
+        live, screen, extend = confluence._Search._live, confluence._column_gcds_refute, confluence._Search.extend
+        events = []
+
+        def recorded_live(search, side, start, k):
+            half = live(search, side, start, k)
+            events.append(("live", (side, start, k.cols, k.entries), bool(half)))
+            return half
+
+        def recorded_screen(rows, width, contents):
+            refuted = screen(rows, width, contents)
+            events.append(("screen", (width, rows), refuted))
+            return refuted
+
+        def recorded_extend(search, stages, maps, candidates, cols):
+            if maps:  # the parent's key: its side, start stage and K
+                events.append(("call", ((len(stages) - 1) % 2, stages[-3], maps[-1].cols, maps[-1].entries)))
+            side, start, leaf = len(stages) % 2, stages[-2], len(maps) + 1 == search.leaf
+            has_target = bool(search.composites[side](start)[0])
+
+            def visited():
+                for entries in candidates:
+                    events.append(("visit", (side, start, cols, entries), leaf, has_target))
+                    yield entries
+
+            return extend(search, stages, maps, visited(), cols)
+
+        monkeypatch.setattr(confluence._Search, "_live", recorded_live)
+        monkeypatch.setattr(confluence, "_column_gcds_refute", recorded_screen)
+        monkeypatch.setattr(confluence._Search, "extend", recorded_extend)
+        cases = [(X2, X3, SearchBudget(3, 8, 12, 200000))]
+        # the shapes of the benchmark's library searches
+        for n in range(80):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            seqA, seqB = (random_diagram(rng, stages, max_rank=3, bound=3, mode=mode) for _ in "AB")
+            cases.append((seqA, seqB, SearchBudget(3, 3, stages, 100)))
+        tally = Counter()
+        for seqA, seqB, budget in cases:
+            events.clear()
+            search_confluence(seqA, seqB, budget)
+            halves = {}  # key -> whether its half-level is live
+            for n, (kind, key, *result) in enumerate(events):
+                if kind == "call":  # only a live half-level recurses
+                    assert halves[key]
+                    tally["call"] += 1
+                elif kind == "screen":  # a new key, right after its visit, once
+                    visit = events[n - 1]
+                    assert visit[0] == "visit" and visit[1][2:] == key and visit[1] not in halves
+                    halves[visit[1]] = not result[0]
+                    tally["screened out" if result[0] else "passed"] += 1
+                elif kind == "live":  # a new key, right after it passed the screen
+                    assert events[n - 1] == ("screen", key[2:], False) and events[n - 2][1] == key
+                    halves[key] = result[0]
+                    tally["live"] += result[0]
+                else:
+                    leaf, has_target = result
+                    following = events[n + 1][0] if n + 1 < len(events) else None
+                    if leaf or key in halves or not has_target:
+                        assert following not in ("screen", "live")
+                        if not leaf and key in halves:
+                            tally["live revisit" if halves[key] else "dead revisit"] += 1
+                        elif not leaf:
+                            halves[key] = False
+                            tally["no target"] += 1
+                    elif following != "screen":  # a new key with a target is screened,
+                        # unless the node limit stopped the search at it
+                        assert n + 1 == len(events)
+                        assert sum(event[0] == "visit" for event in events) > budget.node_limit
+        # each way to be dead is met, and most dead candidates die unresolved
+        assert min(tally["screened out"], tally["dead revisit"], tally["call"]) >= 4000
+        assert min(tally["passed"] - tally["live"], tally["live revisit"], tally["no target"]) >= 100
+        assert tally["screened out"] + tally["no target"] > 5 * (tally["passed"] - tally["live"])
 
     def test_matches_uncached_reference_search(self, rng, monkeypatch):
         tick, nodes = confluence._Counter.tick, []
@@ -545,7 +631,7 @@ class TestColumnGcdScreen:
             t = random_matrix(rng, rng.randint(0, 3), k.cols, 3)
             if rng.random() < 0.3:  # columns scaled onto or off a big gcd
                 t = Matrix([[x * (2**40 + 1) + rng.randint(0, 1) for x in row] for row in t.entries], cols=k.cols)
-            if confluence._column_gcds_refute(k, confluence._column_contents(t)):
+            if confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(t)):
                 refuted += 1
                 assert not solve_matrix_eq(k, t).consistent
         assert refuted >= 150
@@ -554,14 +640,14 @@ class TestColumnGcdScreen:
         for _ in range(600):
             k = self.random_k(rng, rng.randint(0, 3), rng.randint(0, 3))
             h = random_matrix(rng, rng.randint(0, 3), k.rows, rng.choice([3, 2**40 + 1]))
-            assert not confluence._column_gcds_refute(k, confluence._column_contents(h * k))
+            assert not confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(h * k))
 
     def test_exact_on_1x1_systems(self):
         values = [*range(-8, 9), 2**40 + 1, -(2**40 + 1), 3 * (2**40 + 1), 2**41]
         for a in values:
             for b in values:
                 k, t = Matrix([[a]]), Matrix([[b]])
-                assert confluence._column_gcds_refute(k, confluence._column_contents(t)) == (not solve_matrix_eq(k, t).consistent)
+                assert confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(t)) == (not solve_matrix_eq(k, t).consistent)
 
     def test_pairs_refute_what_the_columns_miss(self):
         # each system has no integer solution, the unit columns pass, and a
@@ -576,8 +662,10 @@ class TestColumnGcdScreen:
         ]:
             k, t = Matrix(k), Matrix(t)
             contents = confluence._column_contents(t)
-            assert not confluence._column_gcds_refute(k, contents[: k.cols])
-            assert confluence._column_gcds_refute(k, contents)
+            # a zero content refutes nothing, so these compare the columns only
+            columns_only = contents[: k.cols] + (0,) * (len(contents) - k.cols)
+            assert not confluence._column_gcds_refute(k.entries, k.cols, columns_only)
+            assert confluence._column_gcds_refute(k.entries, k.cols, contents)
             assert not solve_matrix_eq(k, t).consistent
 
     def test_zero_rows_and_columns(self):
@@ -593,17 +681,17 @@ class TestColumnGcdScreen:
             (2, 0, Matrix.zero(0, 0), False),
         ]:
             k = Matrix.zero(rows, cols)
-            assert confluence._column_gcds_refute(k, confluence._column_contents(t)) == refuted
+            assert confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(t)) == refuted
             assert solve_matrix_eq(k, t).consistent == (not refuted)
         k = Matrix([[1, 2], [3, 4]])
-        assert not confluence._column_gcds_refute(k, confluence._column_contents(Matrix.zero(0, 2)))
+        assert not confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(Matrix.zero(0, 2)))
 
     @settings(max_examples=300, deadline=None)
     @given(screened_systems())
     def test_solvable_never_refuted_and_refuted_never_solvable(self, system):
         k, h, t = system
-        assert not confluence._column_gcds_refute(k, confluence._column_contents(h * k))
-        if confluence._column_gcds_refute(k, confluence._column_contents(t)):
+        assert not confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(h * k))
+        if confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(t)):
             assert not solve_matrix_eq(k, t).consistent
 
     def test_refutes_nine_in_ten_inconsistent_horizon_systems(self, rng, monkeypatch):
@@ -619,8 +707,8 @@ class TestColumnGcdScreen:
             c.target = t
             return c
 
-        def recorded(k, c):
-            seen.append((k, c.target, screen(k, c)))
+        def recorded(rows, width, c):
+            seen.append((Matrix(rows, cols=width), c.target, screen(rows, width, c)))
             return seen[-1][2]
 
         monkeypatch.setattr(confluence, "_column_contents", tagged)

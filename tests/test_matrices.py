@@ -244,6 +244,15 @@ class TestKernel:
         x, y = kb.col(0)
         assert x + y == 0 and x != 0
 
+    def test_corank_two_basis_spans_the_whole_kernel(self):
+        # back substituting the free columns of [2 1 1] gives (-1, 2, 0)
+        # and (-1, 0, 2), which span a sublattice of index 2 that misses
+        # (0, 1, -1); the basis spans the saturated kernel
+        kb = kernel_basis(Matrix([[2, 1, 1]]))
+        assert [kb.col(j) for j in range(kb.cols)] == [(1, 0, -2), (0, 1, -1)]
+        s, _, _ = snf(Matrix.from_columns([(-1, 2, 0), (-1, 0, 2)]))
+        assert (s[0, 0], s[1, 1]) == (1, 2)
+
     @settings(max_examples=100, deadline=None)
     @given(small_matrix)
     def test_columns_annihilate(self, m):
