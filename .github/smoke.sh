@@ -1,17 +1,20 @@
 #!/bin/sh
 # Fixture smoke: verify, map, search and invariants on fixtures/ through
-# the colim CLI, with the interpreter in $PYTHON (default python3).  It
-# needs no test dependency.  Run it from the root of a checkout:
+# the colim CLI, and reading a file behind a UTF-8 byte-order mark or not
+# in UTF-8, with the interpreter in $PYTHON (default python3).  It needs
+# no test dependency.  Run it from the root of a checkout:
 #   PYTHON=python3.13 sh .github/smoke.sh
 set -eu
 py=${PYTHON:-python3}
 F=fixtures
+T=$(mktemp -d)
+trap 'rm -rf "$T"' EXIT
 
-check() {  # check EXIT-CODE EXPECTED-LINE COLIM-ARGS...
+check() {  # check EXIT-CODE EXPECTED-LINE COLIM-ARGS...; the line may be on stdout or stderr
     code=$1 want=$2
     shift 2
     got=0
-    out=$(PYTHONPATH=src "$py" -m colim.cli "$@") || got=$?
+    out=$(PYTHONPATH=src "$py" -m colim.cli "$@" 2>&1) || got=$?
     if [ "$got" != "$code" ] || ! printf '%s\n' "$out" | grep -qxF "$want"; then
         printf 'colim %s: exit %s, expected %s with the line "%s"; output:\n%s\n' \
             "$*" "$got" "$code" "$want" "$out" >&2
@@ -27,4 +30,8 @@ check 0 "status: found" search $F/x2.diag $F/x4.diag
 check 3 "status: exhausted" search $F/x2.diag $F/x3.diag
 check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf" \
     invariants $F/x2.diag $F/x3.diag
+{ printf '\357\273\277'; cat $F/x2.diag; } > "$T/bom.diag"
+check 0 "status: clean" validate "$T/bom.diag"
+printf '\377\376{}' > "$T/bad.diag"
+check 2 "error: cannot read $T/bad.diag: not UTF-8 (invalid start byte at offset 0)" validate "$T/bad.diag"
 echo "smoke ok on $("$py" --version)"

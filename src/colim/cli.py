@@ -43,7 +43,9 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # one leading byte-order mark is dropped after decoding, so a
+        # decoding error's offset still counts the file's bytes
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

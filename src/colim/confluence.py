@@ -318,21 +318,16 @@ def _composites(seq: SequenceDiagram, last: int):
     return from_stage
 
 
-def _projections(m: Matrix):
-    """The vectors ``m * y`` for the projections ``y`` of the screen, in
-    its order, as iterables: each unit column ``e_c``, then ``e_a + e_b``
-    and ``e_a - e_b`` for each two columns ``a < b``."""
-    columns = list(zip(*m.entries)) if m.rows else [()] * m.cols
-    yield from columns
-    for a, b in itertools.combinations(columns, 2):
-        yield map(operator.add, a, b)
-        yield map(operator.sub, a, b)
-
-
 def _column_contents(t: Matrix) -> tuple:
-    """The content (gcd) of ``t * y`` for each projection ``y`` of
-    :func:`_projections`; 0 for a zero vector."""
-    return tuple(math.gcd(*v) for v in _projections(t))
+    """The content (gcd) of ``t * y`` for each projection ``y`` of the
+    screen, in its order: each unit column ``e_c``, then ``e_a + e_b``
+    and ``e_a - e_b`` for each two columns ``a < b``; 0 for a zero
+    vector."""
+    columns = list(zip(*t.entries)) if t.rows else [()] * t.cols
+    contents = [math.gcd(*v) for v in columns]
+    for a, b in itertools.combinations(columns, 2):
+        contents += math.gcd(*map(operator.add, a, b)), math.gcd(*map(operator.sub, a, b))
+    return tuple(contents)
 
 
 def _column_gcds_refute(rows: tuple, width: int, contents: tuple) -> bool:
@@ -341,8 +336,8 @@ def _column_gcds_refute(rows: tuple, width: int, contents: tuple) -> bool:
     columns, given ``contents = _column_contents(t)``: ``t * y`` is
     ``h * (k * y)``, so the content of ``t * y`` is a multiple of the
     content of ``k * y`` (zero when that content is zero)."""
-    # the projections of :func:`_projections`, in its order, written out;
-    # the loop stops at the first refuting one.  Through the generator the
+    # the projections of :func:`_column_contents`, in its order, written
+    # out; the loop stops at the first refuting one.  Through a generator the
     # 50,335 screens of 600 bench-shaped library searches took 85-87 ms,
     # here 57-58 ms (2 vCPU, CPython 3.11.7).  Written as ``any`` over
     # ``_column_contents(k)`` it takes every gcd first, and ``search``'s
@@ -395,9 +390,9 @@ class _Search:
     targets)``, or ``()`` when it is dead.  Entry tuples hash faster than
     a Matrix; a ``K`` without rows needs its width in the key.  The loop
     of :meth:`extend` that enumerates the candidates for ``K`` looks each
-    one's key up once and screens a new key there, on its entry tuples,
-    so a candidate whose half-level is dead builds no ``Matrix`` and
-    makes no call.
+    one's key up once and runs the screen on a new key there (its proof
+    is in :func:`search_confluence`), so a candidate whose half-level is
+    dead builds no ``Matrix`` and makes no call.
 
     A live target is ``[next stage, substitution, streams]``.  Its row
     streams are built the first time the search enters it, and its
@@ -440,11 +435,11 @@ class _Search:
         half-level ``h * k = transition(stages[-2], next)`` on the side
         of ``stages[-2]``: a key met before is one lookup, and a new key
         is dead, with no ``Matrix`` built, when the side has no target
-        from there or the screen refutes its horizon target.  Only a live
-        candidate joins ``maps``, as its solver's ``K``, and gets one
-        recursive call per live target, whose row streams are built when
-        it is first entered.  ``stages`` and ``maps`` grow and shrink in
-        place."""
+        from there or the screen of :func:`search_confluence` refutes its
+        horizon target.  Only a live candidate joins ``maps``, as its
+        solver's ``K``, and gets one recursive call per live target, whose
+        row streams are built when it is first entered.  ``stages`` and
+        ``maps`` grow and shrink in place."""
         tick = self.nodes.tick
         if len(maps) + 1 == self.leaf:
             for entries in candidates:
@@ -488,7 +483,10 @@ def search_confluence(
     empty result means only that the budgeted space holds no certificate;
     it is never evidence of non-isomorphism.  The search recurses once per
     map, so a depth whose chain needs more nested calls than the
-    interpreter's recursion limit allows raises ``ValueError``.
+    interpreter's recursion limit allows raises ``ValueError``.  So do
+    diagrams of different modes, and an invalid diagram, which its
+    readers refuse before any node, A before B, with
+    ``invalid diagram: <first violation>``.
 
     Each half-level solves ``h * K = T_j`` for the next map, with
     ``T_j = transition(s, j)`` from the side's stage ``s`` to each later
@@ -531,15 +529,9 @@ def search_confluence(
     """
     if seqA.mode != seqB.mode:
         raise ValueError("diagrams must share a mode")
-    for seq in (seqA, seqB):
-        bad = validate(seq)
-        if not bad.ok:
-            raise ValueError(f"invalid diagram: {bad.violations[0]}")
-    ha = budget.stage_horizon if seqA.has_stage(budget.stage_horizon) else seqA.length
-    hb = budget.stage_horizon if seqB.has_stage(budget.stage_horizon) else seqB.length
-    nodes = _Counter(budget.node_limit)
+    ha, hb = (budget.stage_horizon if seq.has_stage(budget.stage_horizon) else seq.length for seq in (seqA, seqB))
     constraint = "nonnegative" if seqA.simplicial else "any"
-    search = _Search(budget, (_composites(seqA, ha), _composites(seqB, hb)), constraint, nodes)
+    search = _Search(budget, (_composites(seqA, ha), _composites(seqB, hb)), constraint, _Counter(budget.node_limit))
     try:
         for i1 in range(1, ha + 1):
             for k1 in range(1, hb + 1):

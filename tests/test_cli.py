@@ -227,6 +227,32 @@ class TestErrorsAcrossCommands:
         message = """mode must be "plain" or "simplicial", got 'pla\u00efn'"""
         assert run(capsys, "validate", str(path)) == (2, [], f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_byte_order_mark_reads_as_without(self, capsys, tmp_path, monkeypatch, command):
+        # every file the command reads, copied as is and behind the UTF-8
+        # byte-order mark, under the same names so that the outputs compare;
+        # cone needs a simplicial diagram to answer
+        names = {X2: "x2.diag", X4: "x4.diag", X2_X4: "x2_x4.cert", FIB: "fib.diag"}
+        a, e = (FIB, "1:1,0") if command == "cone" else (X2, "1:1")
+        argv = [names.get(arg, arg) for arg in (arg.format(A=a, E=e) for arg in COMMANDS[command])]
+        results = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / ("bom" if mark else "plain")
+            folder.mkdir()
+            for source, name in names.items():
+                (folder / name).write_bytes(mark + Path(source).read_bytes())
+            monkeypatch.chdir(folder)
+            results.append(run(capsys, command, *argv))
+        assert results[0][2] == "" and results[0][1]
+        assert results[1] == results[0]
+
+    def test_byte_order_mark_keeps_the_byte_offsets(self, capsys, tmp_path):
+        # the mark is dropped after decoding, so the offset of a bad byte
+        # behind it counts the mark's three bytes
+        path = tmp_path / "a.diag"
+        path.write_bytes(b"\xef\xbb\xbf\xff{}")
+        assert run(capsys, "validate", str(path)) == (2, [], f"error: cannot read {path}: not UTF-8 (invalid start byte at offset 3)\n")
+
     @pytest.mark.parametrize("command", [c for c in COMMANDS if "{E}" in COMMANDS[c]])
     def test_long_coordinate(self, capsys, command):
         err = self.run_bad(capsys, command, e="1:" + "9" * 5000)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -720,6 +721,55 @@ class TestColumnGcdScreen:
         inconsistent = [refuted for k, t, refuted in seen if not solve_matrix_eq(k, t).consistent]
         assert len(inconsistent) >= 500
         assert 10 * sum(inconsistent) >= 9 * len(inconsistent)
+
+
+class TestProjectionOrder:
+    """``_column_contents`` and ``_column_gcds_refute`` each write out the
+    screen's projections, the unit columns and then ``e_a + e_b`` and
+    ``e_a - e_b`` for every two columns ``a < b``; both are checked
+    against the projections formed as ``Matrix`` products, so their two
+    orders cannot drift apart."""
+
+    @staticmethod
+    def projections(cols):
+        """The screen's ``y``, as ``cols x 1`` matrices, in its order."""
+
+        def column(coeffs):
+            return Matrix([[coeffs.get(r, 0)] for r in range(cols)], cols=1)
+
+        units = [column({c: 1}) for c in range(cols)]
+        return units + [column({a: 1, b: s}) for a in range(cols) for b in range(a + 1, cols) for s in (1, -1)]
+
+    @staticmethod
+    def content(m):
+        return math.gcd(*(x for row in m.entries for x in row))
+
+    @staticmethod
+    def random_t(rng, rows, cols):
+        t = random_matrix(rng, rows, cols, 4)
+        scale = rng.choice([1, 1, 2, 6, 2**40 + 1])  # common factors in some columns
+        return Matrix([[x * scale if c % 2 else x for c, x in enumerate(row)] for row in t.entries], cols=cols)
+
+    def test_contents_are_the_gcds_of_the_products(self, rng):
+        for rows in range(5):
+            for cols in range(5):
+                for _ in range(8):
+                    t = self.random_t(rng, rows, cols)
+                    want = tuple(self.content(t * y) for y in self.projections(cols))
+                    assert len(want) == cols * cols
+                    assert confluence._column_contents(t) == want
+
+    def test_refutes_exactly_when_a_projection_does(self, rng):
+        outcomes = Counter()
+        for _ in range(3000):
+            cols = rng.randint(0, 4)
+            k, t = self.random_t(rng, rng.randint(0, 4), cols), self.random_t(rng, rng.randint(0, 4), cols)
+            pairs = [(self.content(k * y), self.content(t * y)) for y in self.projections(cols)]
+            bad = [n for n, (gk, gt) in enumerate(pairs) if (gt % gk if gk else gt)]
+            refuted = confluence._column_gcds_refute(k.entries, k.cols, confluence._column_contents(t))
+            assert refuted == bool(bad), (k, t)
+            outcomes["by a column" if bad and bad[0] < cols else "by a pair" if bad else "passed"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
 
 
 ONE = rank1([1, 1], period=(0, 1))

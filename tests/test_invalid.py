@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from colim import confluence
 from colim.colimit import (
     ColimitElement,
     cone_member,
@@ -226,6 +227,46 @@ class TestLibraryEntryPoints:
         with pytest.raises(ValueError) as exc:
             search_confluence(self.A, self.B, SearchBudget(2, 2, 3, 100))
         assert str(exc.value) == f"invalid diagram: {self.WHY_A}"
+
+    @pytest.mark.parametrize("horizon", [1, 3, 10])
+    def test_search_confluence_names_b_behind_a_valid_a(self, horizon):
+        with pytest.raises(ValueError) as exc:
+            search_confluence(rank1([2, 2], period=(0, 1)), self.B, SearchBudget(2, 2, horizon, 100))
+        assert str(exc.value) == f"invalid diagram: {self.WHY_B}"
+
+    def test_search_confluence_reports_modes_before_invalidity(self):
+        a = SequenceDiagram("simplicial", [1, 1], [Matrix([[-1]])])
+        assert not validate(a).ok
+        with pytest.raises(ValueError) as exc:
+            search_confluence(a, self.B, SearchBudget(2, 2, 3, 100))
+        assert str(exc.value) == "diagrams must share a mode"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_confluence_on_each_kind_of_violation(self, kind):
+        for seq in invalid_diagrams(random.Random(f"search:{kind}"), kind):
+            want = "invalid diagram: " + validate(seq).violations[0]
+            valid = rank1([2, 2], mode=seq.mode, period=(0, 1))
+            for a, b in [(seq, valid), (valid, seq), (seq, seq)]:
+                with pytest.raises(ValueError) as exc:
+                    search_confluence(a, b, SearchBudget(2, 2, 4, 100))
+                assert str(exc.value) == want
+
+    def test_search_confluence_refuses_before_any_node(self, monkeypatch):
+        ticks = []
+        tick = confluence._Counter.tick
+
+        def counted(self):
+            ticks.append(1)
+            tick(self)
+
+        monkeypatch.setattr(confluence._Counter, "tick", counted)
+        valid = rank1([2, 2], period=(0, 1))
+        for a, b in [(self.A, self.B), (self.A, valid), (valid, self.B)]:
+            with pytest.raises(ValueError, match="^invalid diagram: "):
+                search_confluence(a, b, SearchBudget(2, 2, 3, 100))
+        assert ticks == []
+        search_confluence(valid, valid, SearchBudget(2, 2, 3, 100))
+        assert ticks  # the counted tick is the one the search calls
 
     def test_noniso_evidence_names_b(self):
         with pytest.raises(ValueError) as exc:
