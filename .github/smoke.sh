@@ -1,8 +1,10 @@
 #!/bin/sh
 # Fixture smoke: verify, map, search and invariants on fixtures/ through
-# the colim CLI, and reading a file behind a UTF-8 byte-order mark or not
-# in UTF-8, with the interpreter in $PYTHON (default python3).  It needs
-# no test dependency.  Run it from the root of a checkout:
+# the colim CLI, reading a file behind a UTF-8 byte-order mark or not in
+# UTF-8, and a cold `import colim.cli` that loads none of dataclasses,
+# inspect, typing or pathlib, with the interpreter in $PYTHON (default
+# python3).  It needs no test dependency.  Run it from the root of a
+# checkout:
 #   PYTHON=python3.13 sh .github/smoke.sh
 set -eu
 py=${PYTHON:-python3}
@@ -34,4 +36,9 @@ check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^i
 check 0 "status: clean" validate "$T/bom.diag"
 printf '\377\376{}' > "$T/bad.diag"
 check 2 "error: cannot read $T/bad.diag: not UTF-8 (invalid start byte at offset 0)" validate "$T/bad.diag"
+PYTHONPATH=src "$py" -S -c '
+import sys, colim.cli
+found = ", ".join(m for m in ("dataclasses", "inspect", "typing", "pathlib") if m in sys.modules)
+if found:
+    sys.exit("import colim.cli loads " + found)'
 echo "smoke ok on $("$py" --version)"

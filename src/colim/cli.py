@@ -17,7 +17,6 @@ import functools
 import os
 import reprlib
 import sys
-from pathlib import Path
 
 from . import colimit, confluence, invariants
 from .diagrams import validate
@@ -43,9 +42,10 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        # one leading byte-order mark is dropped after decoding, so a
-        # decoding error's offset still counts the file's bytes
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        # decoded here, not by the parser, so that a decoding error's
+        # offset counts the file's bytes, also those of a byte-order mark
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -54,7 +54,8 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
 

@@ -32,33 +32,36 @@ stages to read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from operator import sub
-from typing import Callable, Optional, Sequence
 
 from .diagrams import SequenceDiagram, _walk, push, transition
-from .matrices import Matrix, _integers
+from .matrices import Matrix, _Frozen, _integers
 
 
-@dataclass(frozen=True)
-class ColimitElement:
-    stage: int
-    vec: tuple
+class ColimitElement(_Frozen):
+    _fields = ("stage", "vec")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _integers("vec", self.vec))
-        if type(self.stage) is not int:  # built for every element: no call when it is
-            _integers("stage", (self.stage,))
-        if self.stage < 1:
+    def __init__(self, stage: int, vec: tuple):
+        vec = _integers("vec", vec)
+        if type(stage) is not int:  # built for every element: no call when it is
+            _integers("stage", (stage,))
+        if stage < 1:
             raise ValueError("stages are 1-based")
+        fields = self.__dict__
+        fields["stage"] = stage
+        fields["vec"] = vec
 
 
-@dataclass(frozen=True)
-class Trilean:
-    kind: str  # "yes" | "no" | "unknown"
-    # witness for yes; for unknown the horizon, up to which no stage is a
-    # witness, walked or proven
-    stage: Optional[int] = None
+class Trilean(_Frozen):
+    _fields = ("kind", "stage")
+
+    def __init__(self, kind: str, stage: int | None = None):
+        fields = self.__dict__
+        fields["kind"] = kind  # "yes" | "no" | "unknown"
+        # witness for yes; for unknown the horizon, up to which no stage is
+        # a witness, walked or proven
+        fields["stage"] = stage
 
     @staticmethod
     def yes(witness: int) -> "Trilean":
@@ -126,7 +129,7 @@ def _barren(seq: SequenceDiagram, start: int, links: int) -> int:
 
 def _first(
     seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool],
-    settled: Optional[int] = None, links: Optional[int] = None,
+    settled: int | None = None, links: int | None = None,
 ) -> Trilean:
     """``yes(k)`` at the first ``k in [start, horizon]`` where ``holds`` is
     true of ``vecs`` pushed forward to stage ``k``; ``no`` once the walk
@@ -194,7 +197,7 @@ def eventual_equalizer(
 
 def factor_through_stage(
     seq: SequenceDiagram, images: Sequence[ColimitElement], horizon: int
-) -> Optional[tuple]:
+) -> tuple | None:
     """Factor the map determined by basis images through a finite stage.
 
     Returns the least ``(i0, g)`` such that column ``k`` of ``g`` is a

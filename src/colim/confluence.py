@@ -24,67 +24,64 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, push, transition, validate
-from .matrices import Matrix, _box, _integers, solve_matrix_eq
+from .matrices import Matrix, _box, _Frozen, _integers, _Record, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class CertificatePeriod:
+class CertificatePeriod(_Frozen):
     """Declares that the certificate repeats forever: every ``period_len``
     levels the maps recur and the stage indices advance by fixed steps."""
 
-    index_step_a: int
-    index_step_b: int
-    period_len: int
+    _fields = ("index_step_a", "index_step_b", "period_len")
 
-    def __post_init__(self):
-        for name in ("index_step_a", "index_step_b", "period_len"):
-            _integers(name, (getattr(self, name),))
+    def __init__(self, index_step_a: int, index_step_b: int, period_len: int):
+        values = index_step_a, index_step_b, period_len
+        for name, value in zip(self._fields, values):
+            _integers(name, (value,))
+        self.__dict__.update(zip(self._fields, values))
 
 
-@dataclass(frozen=True)
-class ConfluenceCertificate:
-    i_indices: tuple
-    k_indices: tuple
-    f_mats: tuple
-    g_mats: tuple  # depth-1 entries, or depth with a trailing unused map
-    periodic: Optional[CertificatePeriod] = None
+class ConfluenceCertificate(_Frozen):
+    _fields = ("i_indices", "k_indices", "f_mats", "g_mats", "periodic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "i_indices", _integers("i_indices", self.i_indices))
-        object.__setattr__(self, "k_indices", _integers("k_indices", self.k_indices))
-        object.__setattr__(self, "f_mats", tuple(self.f_mats))
-        object.__setattr__(self, "g_mats", tuple(self.g_mats))
+    def __init__(self, i_indices: tuple, k_indices: tuple, f_mats: tuple, g_mats: tuple, periodic: CertificatePeriod | None = None):
+        fields = self.__dict__
+        fields["i_indices"] = i_indices = _integers("i_indices", i_indices)
+        fields["k_indices"] = k_indices = _integers("k_indices", k_indices)
+        fields["f_mats"] = f_mats = tuple(f_mats)
+        fields["g_mats"] = g_mats = tuple(g_mats)  # depth-1 entries, or depth with a trailing unused map
+        fields["periodic"] = periodic
         # One private view of the chain A_{i_1} -> B_{k_1} -> A_{i_2} -> ...,
         # not a field: stages i_1, k_1, i_2, ... and maps f_1, g_1, f_2, ...
         # Map p leaves node p (of A for even p, of B for odd p) for node
         # p + 1; a trailing g_m leaves the last node.
-        stages = tuple(itertools.chain.from_iterable(zip(self.i_indices, self.k_indices)))
-        maps = itertools.chain.from_iterable(zip(self.f_mats, self.g_mats))
-        object.__setattr__(self, "_chain", (stages, (*maps, *self.f_mats[len(self.g_mats):])))
+        stages = tuple(itertools.chain.from_iterable(zip(i_indices, k_indices)))
+        maps = itertools.chain.from_iterable(zip(f_mats, g_mats))
+        fields["_chain"] = (stages, (*maps, *f_mats[len(g_mats):]))
 
     @property
     def depth(self) -> int:
         return len(self.i_indices)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """What :func:`verify_certificate` found.  ``accepted`` is read off
     ``failures``: a certificate is accepted when nothing fails.
     ``periodic_accepted`` is ``None`` without a periodic claim, else
     whether the claim holds, and a note says why."""
 
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    periodic_accepted: Optional[bool] = None
+    _fields = ("failures", "notes", "periodic_accepted")
+
+    def __init__(self, failures: list | None = None, notes: list | None = None, periodic_accepted: bool | None = None):
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+        self.periodic_accepted = periodic_accepted
 
     @property
     def accepted(self) -> bool:
@@ -98,7 +95,7 @@ def _name(p: int) -> str:
 
 def _periodic_fault(
     seqA: SequenceDiagram, seqB: SequenceDiagram, cert: ConfluenceCertificate
-) -> Optional[str]:
+) -> str | None:
     """Why the stored prefix does not determine an infinite certificate,
     or ``None`` when it does: the maps must repeat, the index steps must
     be constant multiples of the diagram periods, and all stages must lie
@@ -242,10 +239,12 @@ def induced_map(
     return ColimitElement(target, maps[p].apply(vec) if maps[p].rows else ())
 
 
-@dataclass
-class RoundtripReport:
-    failures: list = field(default_factory=list)
-    checked: int = 0
+class RoundtripReport(_Record):
+    _fields = ("failures", "checked")
+
+    def __init__(self, failures: list | None = None, checked: int = 0):
+        self.failures = [] if failures is None else failures
+        self.checked = checked
 
     @property
     def ok(self) -> bool:
@@ -283,21 +282,18 @@ def roundtrip_check(
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    depth: int
-    entry_bound: int
-    stage_horizon: int
-    node_limit: int
+class SearchBudget(_Frozen):
+    _fields = ("depth", "entry_bound", "stage_horizon", "node_limit")
 
-    def __post_init__(self):
-        for name in ("depth", "entry_bound", "stage_horizon", "node_limit"):
-            value = getattr(self, name)
+    def __init__(self, depth: int, entry_bound: int, stage_horizon: int, node_limit: int):
+        values = depth, entry_bound, stage_horizon, node_limit
+        for name, value in zip(self._fields, values):
             _integers(f"budget field {name}", (value,))
             if value <= 0:
                 raise ValueError(f"budget field {name} must be positive")
-        if self.depth < 2:
+        if depth < 2:
             raise ValueError("certificates need depth >= 2")
+        self.__dict__.update(zip(self._fields, values))
 
 
 def _composites(seq: SequenceDiagram, last: int):
@@ -427,7 +423,7 @@ class _Search:
         live.reverse()
         return (solver, live) if live else ()
 
-    def extend(self, stages: list, maps: list, candidates, cols: int) -> Optional[ConfluenceCertificate]:
+    def extend(self, stages: list, maps: list, candidates, cols: int) -> ConfluenceCertificate | None:
         """Walk ``candidates``, the entry tuples of the next map's
         candidates, ``cols`` columns each, from ``stages[-2]`` to
         ``stages[-1]``; each is one node.  At the leaf the first one
@@ -476,7 +472,7 @@ class _Search:
 
 def search_confluence(
     seqA: SequenceDiagram, seqB: SequenceDiagram, budget: SearchBudget
-) -> Optional[ConfluenceCertificate]:
+) -> ConfluenceCertificate | None:
     """Depth-first search for a confluence certificate within the budget.
 
     Every returned certificate passes :func:`verify_certificate`.  An

@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import functools
 import reprlib
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .matrices import Matrix, _integers, is_injective
+from .matrices import Matrix, _Frozen, _integers, _Record, is_injective
 
 PLAIN = "plain"
 SIMPLICIAL = "simplicial"
 
 
-@dataclass(frozen=True)
-class SequenceDiagram:
+class SequenceDiagram(_Frozen):
     """A truncated sequence of stages and transition homomorphisms.
 
     The constructor is deliberately permissive about shape mismatches;
@@ -37,28 +34,28 @@ class SequenceDiagram:
     stage of a diagram with a violation can be read.
     """
 
-    mode: str
-    ranks: tuple
-    transitions: tuple
-    mono_required: bool = False
-    period: Optional[tuple] = None  # (prefix_length, period_length)
+    _fields = ("mode", "ranks", "transitions", "mono_required", "period")
 
-    def __post_init__(self):
-        if self.mode not in (PLAIN, SIMPLICIAL):
-            raise ValueError(f'mode must be "plain" or "simplicial", got {reprlib.repr(self.mode)}')
-        object.__setattr__(self, "ranks", _integers("ranks", self.ranks))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        if not self.ranks:
+    def __init__(self, mode: str, ranks: tuple, transitions: tuple, mono_required: bool = False, period: tuple | None = None):
+        if mode not in (PLAIN, SIMPLICIAL):
+            raise ValueError(f'mode must be "plain" or "simplicial", got {reprlib.repr(mode)}')
+        ranks, transitions = _integers("ranks", ranks), tuple(transitions)
+        if not ranks:
             raise ValueError("a diagram needs at least one stage")
-        if any(r < 0 for r in self.ranks):
+        if any(r < 0 for r in ranks):
             raise ValueError("ranks must be >= 0")
-        if type(self.mono_required) is not bool:
-            raise ValueError(f"mono_required must be a bool, got {reprlib.repr(self.mono_required)}")
-        if self.period is not None:
-            prefix, length = period = _integers("period", self.period)
+        if type(mono_required) is not bool:
+            raise ValueError(f"mono_required must be a bool, got {reprlib.repr(mono_required)}")
+        if period is not None:
+            prefix, length = period = _integers("period", period)
             if prefix < 0 or length < 1:
                 raise ValueError("period must be (prefix >= 0, length >= 1)")
-            object.__setattr__(self, "period", period)
+        fields = self.__dict__
+        fields["mode"] = mode
+        fields["ranks"] = ranks
+        fields["transitions"] = transitions
+        fields["mono_required"] = mono_required
+        fields["period"] = period  # (prefix_length, period_length)
 
     @property
     def length(self) -> int:
@@ -106,9 +103,11 @@ class SequenceDiagram:
         return tuple(_find_violations(self))
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
+class ValidationReport(_Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations: list | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

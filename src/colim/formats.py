@@ -25,9 +25,12 @@ class FormatError(ValueError):
 
 
 def _loads(text: str | bytes) -> object:
-    """The JSON value of ``text``.  Syntax errors, nesting too deep for
-    the decoder and integers past the interpreter's digit limit for
-    ``int`` conversion are all format errors."""
+    """The JSON value of ``text``, read past one leading byte-order mark
+    (``json.loads`` skips it in ``bytes`` only).  Syntax errors, nesting
+    too deep for the decoder and integers past the interpreter's digit
+    limit for ``int`` conversion are all format errors."""
+    if isinstance(text, str):
+        text = text.removeprefix("\ufeff")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError

@@ -45,9 +45,9 @@ primes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .diagrams import SequenceDiagram, transition, validate
+from .matrices import _Frozen, _Record
 
 INFINITE = math.inf
 
@@ -63,15 +63,17 @@ PREFIX_DISCLAIMER = (
 INDICATIVE_GAP = 2
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(_Frozen):
     """Map factor -> exponent in N u {infinity}; zero exponents omitted.
 
     The factors are pairwise coprime and prime, except those in
     ``unproven``: parts that ``factorint`` did not split within its budget,
     or could not prove prime, each printed as one factor."""
 
-    exponents: tuple  # sorted ((factor, exponent), ...)
+    _fields = ("exponents",)
+
+    def __init__(self, exponents: tuple):  # sorted ((factor, exponent), ...)
+        self.__dict__["exponents"] = exponents
 
     @staticmethod
     def from_dict(d: dict) -> "SupernaturalNumber":
@@ -322,20 +324,23 @@ def colimit_rank(seq: SequenceDiagram) -> tuple:
     return seq.rank_at(seq.length), seq.period is not None
 
 
-@dataclass(frozen=True)
-class Evidence:
-    strength: str  # CONCLUSIVE | INDICATIVE
-    message: str
+class Evidence(_Frozen):
+    _fields = ("strength", "message")
+
+    def __init__(self, strength: str, message: str):  # strength: CONCLUSIVE | INDICATIVE
+        self.__dict__.update(strength=strength, message=message)
 
 
-@dataclass
-class EvidenceReport:
-    entries: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    # the coprime base of both diagrams' multipliers, and each diagram with
-    # its multipliers or the ValueError that ``steinitz`` raises on it
-    _base: _CoprimeBase | None = field(default=None, compare=False, repr=False)
-    _sides: tuple = field(default=(), compare=False, repr=False)
+class EvidenceReport(_Record):
+    _fields = ("entries", "notes")
+
+    def __init__(self, entries: list | None = None, notes: list | None = None, _base: _CoprimeBase | None = None,
+                 _sides: tuple = ()):
+        self.entries = [] if entries is None else entries
+        self.notes = [] if notes is None else notes
+        # the coprime base of both diagrams' multipliers, and each diagram
+        # with its multipliers or the ValueError that ``steinitz`` raises on it
+        self._base, self._sides = _base, _sides
 
     @property
     def conclusive(self) -> bool:

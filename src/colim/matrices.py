@@ -18,9 +18,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import reprlib
+from collections.abc import Iterator, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterator, Sequence
 
 
 class Matrix:
@@ -147,6 +147,42 @@ def _integers(name: str, values) -> tuple:
         bad = next(x for x in values if type(x) is not int)
         raise ValueError(f"{name} takes integers only, got {reprlib.repr(bad)}")
     return values
+
+
+class _Record:
+    """Base of the records: ``==`` over the values of the fields named in
+    ``_fields`` (``NotImplemented`` against another class) and a ``repr``
+    that names them, as ``dataclasses`` writes both.  A record is mutable,
+    and unhashable since it defines ``__eq__`` alone; a :class:`_Frozen`
+    one is neither."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record hashed by its values that refuses every assignment.  Its
+    ``__init__`` writes the fields into ``__dict__``, where a
+    ``functools.cached_property`` also keeps what it computes."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------

@@ -709,6 +709,14 @@ class TestColdStart:
         assert "colim.cli" in imported
         assert "sympy" not in imported
 
+    def test_import_loads_no_dataclasses_inspect_typing_or_pathlib(self):
+        # the records are plain classes and the annotations stay strings,
+        # so a cold start pays for none of these modules
+        proc, imported = fresh_interpreter("-S", "-c", "import colim.cli")
+        assert proc.returncode == 0
+        assert "colim.cli" in imported
+        assert imported & {"dataclasses", "inspect", "typing", "pathlib"} == set()
+
     @pytest.mark.parametrize("argv", [
         ("validate", X2),
         ("verify", X2, X4, X2_X4),

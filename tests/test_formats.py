@@ -231,6 +231,22 @@ class TestRoundTrip:
             assert parse_certificate(emit_certificate(cert)) == cert
 
 
+def parse_or_error(parse, text):
+    """``parse(text)``, or the message of the format error it raises."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("path", sorted(FIXTURES.iterdir()), ids=lambda path: path.name)
+    def test_fixture_reads_as_without(self, path):
+        parse = parse_certificate if path.suffix == ".cert" else parse_diagram
+        text = path.read_text()
+        assert parse_or_error(parse, "\ufeff" + text) == parse_or_error(parse, text)
+
+
 class TestElements:
     def test_parse_and_format(self):
         e = parse_element("2:1,-3")
@@ -294,9 +310,10 @@ class TestElements:
 
 
 def json_loads(text):
-    """What ``_loads`` must give: the value or error of ``json.loads``."""
+    """What ``_loads`` must give: the value or error of ``json.loads``, on
+    a ``str`` past one leading byte-order mark."""
     try:
-        return json.loads(text)
+        return json.loads(text[1:] if isinstance(text, str) and text.startswith("\ufeff") else text)
     except (ValueError, RecursionError) as exc:
         return FormatError(f"not a well-formed document: {exc}")
 
@@ -319,7 +336,7 @@ class TestLoadsIsJsonLoads:
         '{"mode": "plain", "ranks": [1, 1], "transitions": [[[2]]]}',
         '{"f_mats": [[[1, -2], [3, 4]]], "x": 2.5, "y": [1e3, -0.0], "z": null}',
         "[]", "  7  ", '"\\u00e9"', "\n[1,\t2]\r\n",
-        "\ufeff{}", "\ufeff", "{not json", "", "[1,]", '{"a": 1} x', "[1, 2",
+        "\ufeff{}", "\ufeff", "\ufeff\ufeff[1]", "{not json", "", "[1,]", '{"a": 1} x', "[1, 2",
         "[" * 100_000 + "]" * 100_000, "[" + "7" * 5000 + "]", "-" + "1" * 4300,
         '{"a": 1}'.encode(), '{"a": [1, 2.5]}'.encode("utf-16"), '{"a": 1}'.encode("utf-32-le"),
         "\ufeff[1]".encode(), b"\xef\xbb\xbf\xef\xbb\xbf[1]", b"[1, \xff]", b"",
