@@ -1,10 +1,11 @@
 #!/bin/sh
-# Fixture smoke: verify, map, search and invariants on fixtures/ through
-# the colim CLI, reading a file behind a UTF-8 byte-order mark or not in
-# UTF-8, and a cold `import colim.cli` that loads none of dataclasses,
-# inspect, typing or pathlib, with the interpreter in $PYTHON (default
-# python3).  It needs no test dependency.  Run it from the root of a
-# checkout:
+# Fixture smoke: every colim subcommand on fixtures/ through the CLI
+# (validate of a clean and an invalid diagram, verify, map, search, the
+# queries equal, cone and divisible, and invariants), reading a file
+# behind a UTF-8 byte-order mark or not in UTF-8, and a cold
+# `import colim.cli` that loads none of dataclasses, inspect, typing or
+# pathlib, with the interpreter in $PYTHON (default python3).  It needs
+# no test dependency.  Run it from the root of a checkout:
 #   PYTHON=python3.13 sh .github/smoke.sh
 set -eu
 py=${PYTHON:-python3}
@@ -32,6 +33,10 @@ check 0 "status: found" search $F/x2.diag $F/x4.diag
 check 3 "status: exhausted" search $F/x2.diag $F/x3.diag
 check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf" \
     invariants $F/x2.diag $F/x3.diag
+check 1 "status: invalid" validate $F/bad_period.diag
+check 0 "witness: 2" equal $F/x2.diag --e1 1:1 --e2 2:2
+check 0 "witness: 2" cone $F/fib.diag --element 1:1,-1
+check 0 "witness: 3" divisible $F/x2.diag --element 1:1 --m 4
 { printf '\357\273\277'; cat $F/x2.diag; } > "$T/bom.diag"
 check 0 "status: clean" validate "$T/bom.diag"
 printf '\377\376{}' > "$T/bad.diag"

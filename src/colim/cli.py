@@ -240,61 +240,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a diagram file's invariants")
-    p.add_argument("diagram")
-    p.set_defaults(fn=_cmd_validate)
+    def command(name, about, fn, *files, **defaults):
+        """The subparser ``name``, taking ``files`` in order and running
+        ``fn``; the caller adds its options."""
+        p = sub.add_parser(name, help=about)
+        for f in files:
+            p.add_argument(f)
+        p.set_defaults(fn=fn, **defaults)
+        return p
 
-    p = sub.add_parser("verify", help="verify a confluence certificate")
-    p.add_argument("diagram_a")
-    p.add_argument("diagram_b")
-    p.add_argument("certificate")
-    p.set_defaults(fn=_cmd_verify)
+    command("validate", "check a diagram file's invariants", _cmd_validate, "diagram")
 
-    p = sub.add_parser("search", help="search for a confluence certificate")
-    p.add_argument("diagram_a")
-    p.add_argument("diagram_b")
+    command("verify", "verify a confluence certificate", _cmd_verify, "diagram_a", "diagram_b", "certificate")
+
+    p = command("search", "search for a confluence certificate", _cmd_search, "diagram_a", "diagram_b")
     p.add_argument("--depth", type=_integer, default=3, help="certificate depth")
     p.add_argument("--bound", type=_integer, default=4, help="entry bound for candidate maps")
     p.add_argument("--horizon", type=_integer, default=12, help="last stage the search may use")
     p.add_argument("--nodes", type=_integer, default=200000, help="node budget")
     p.add_argument("--emit", metavar="FILE", help="write the certificate to FILE")
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("map", help="apply the induced isomorphism to an element")
-    p.add_argument("diagram_a")
-    p.add_argument("diagram_b")
-    p.add_argument("certificate")
+    p = command("map", "apply the induced isomorphism to an element", _cmd_map,
+                "diagram_a", "diagram_b", "certificate")
     p.add_argument("--element", required=True, help='element as "stage:x1,x2,..."')
     p.add_argument("--backward", action="store_true")
-    p.set_defaults(fn=_cmd_map)
 
-    p = sub.add_parser("equal", help="decide equality of two colimit elements")
-    p.add_argument("diagram")
+    p = command("equal", "decide equality of two colimit elements", _cmd_query, "diagram",
+                query=lambda seq, a, horizon: colimit.equal_at(seq, parse_element(a.e1), parse_element(a.e2), horizon))
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.equal_at(
-        seq, parse_element(a.e1), parse_element(a.e2), horizon))
 
-    p = sub.add_parser("cone", help="test positive-cone membership (simplicial)")
-    p.add_argument("diagram")
+    p = command("cone", "test positive-cone membership (simplicial)", _cmd_query, "diagram",
+                query=lambda seq, a, horizon: colimit.cone_member(seq, parse_element(a.element), horizon))
     p.add_argument("--element", required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.cone_member(
-        seq, parse_element(a.element), horizon))
 
-    p = sub.add_parser("divisible", help="test divisibility of an element")
-    p.add_argument("diagram")
+    p = command("divisible", "test divisibility of an element", _cmd_query, "diagram",
+                query=lambda seq, a, horizon: colimit.divisible(seq, parse_element(a.element), a.m, horizon))
     p.add_argument("--element", required=True)
     p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--horizon", type=_integer)
-    p.set_defaults(fn=_cmd_query, query=lambda seq, a, horizon: colimit.divisible(
-        seq, parse_element(a.element), a.m, horizon))
 
-    p = sub.add_parser("invariants", help="print rank/Steinitz invariants and evidence")
-    p.add_argument("diagram_a")
+    p = command("invariants", "print rank/Steinitz invariants and evidence", _cmd_invariants, "diagram_a")
     p.add_argument("diagram_b", nargs="?")
-    p.set_defaults(fn=_cmd_invariants)
 
     return parser
 

@@ -23,12 +23,13 @@ import functools
 import itertools
 import math
 import operator
+import reprlib
 import sys
 from collections.abc import Sequence
 
 from .colimit import ColimitElement, equal_at
 from .diagrams import SequenceDiagram, push, transition, validate
-from .matrices import Matrix, _box, _Frozen, _integers, _Record, solve_matrix_eq
+from .matrices import Matrix, _box, _Frozen, _integers, _matrices, _Record, solve_matrix_eq
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -54,8 +55,10 @@ class ConfluenceCertificate(_Frozen):
         fields = self.__dict__
         fields["i_indices"] = i_indices = _integers("i_indices", i_indices)
         fields["k_indices"] = k_indices = _integers("k_indices", k_indices)
-        fields["f_mats"] = f_mats = tuple(f_mats)
-        fields["g_mats"] = g_mats = tuple(g_mats)  # depth-1 entries, or depth with a trailing unused map
+        fields["f_mats"] = f_mats = _matrices("f_mats", f_mats)
+        fields["g_mats"] = g_mats = _matrices("g_mats", g_mats)  # depth-1 entries, or depth with a trailing unused map
+        if periodic is not None and not isinstance(periodic, CertificatePeriod):
+            raise ValueError(f"periodic takes a CertificatePeriod or None, got {reprlib.repr(periodic)}")
         fields["periodic"] = periodic
         # One private view of the chain A_{i_1} -> B_{k_1} -> A_{i_2} -> ...,
         # not a field: stages i_1, k_1, i_2, ... and maps f_1, g_1, f_2, ...

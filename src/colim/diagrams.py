@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import reprlib
 
-from .matrices import Matrix, _Frozen, _integers, _Record, is_injective
+from .matrices import Matrix, _Frozen, _integers, _matrices, _Record, is_injective
 
 PLAIN = "plain"
 SIMPLICIAL = "simplicial"
@@ -39,7 +39,7 @@ class SequenceDiagram(_Frozen):
     def __init__(self, mode: str, ranks: tuple, transitions: tuple, mono_required: bool = False, period: tuple | None = None):
         if mode not in (PLAIN, SIMPLICIAL):
             raise ValueError(f'mode must be "plain" or "simplicial", got {reprlib.repr(mode)}')
-        ranks, transitions = _integers("ranks", ranks), tuple(transitions)
+        ranks, transitions = _integers("ranks", ranks), _matrices("transitions", transitions)
         if not ranks:
             raise ValueError("a diagram needs at least one stage")
         if any(r < 0 for r in ranks):

@@ -149,6 +149,16 @@ def _integers(name: str, values) -> tuple:
     return values
 
 
+def _matrices(name: str, values) -> tuple:
+    """The iterable ``values`` as a tuple, each a :class:`Matrix`; anything
+    else is a ``ValueError`` that names the field ``name``."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, Matrix):
+            raise ValueError(f"{name} takes matrices only, got {reprlib.repr(x)}")
+    return values
+
+
 class _Record:
     """Base of the records: ``==`` over the values of the fields named in
     ``_fields`` (``NotImplemented`` against another class) and a ``repr``
@@ -482,17 +492,12 @@ def matrix_values(entry_bound: int, nonnegative: bool) -> list:
 
 
 def _box(rows: int, cols: int, entry_bound: int, nonnegative: bool) -> Iterator[tuple]:
-    """The entry tuples of the matrices of :func:`iter_matrices`, in its
-    order, for a caller that builds a ``Matrix`` only for some of them."""
+    """The entry tuples of all ``rows x cols`` matrices with entries
+    within the bound, in position-lexicographic order with small
+    magnitudes first, for a caller that builds a ``Matrix`` only for some
+    of them."""
     vals = matrix_values(entry_bound, nonnegative)
     return itertools.product(itertools.product(vals, repeat=cols), repeat=rows)
-
-
-def iter_matrices(rows: int, cols: int, entry_bound: int, nonnegative: bool = False) -> Iterator[Matrix]:
-    """All ``rows x cols`` matrices with entries within the bound, in
-    deterministic position-lexicographic order with small magnitudes first."""
-    for entries in _box(rows, cols, entry_bound, nonnegative):
-        yield Matrix._make(entries, cols)
 
 
 def _reduce(k: Matrix) -> tuple:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from sympy import prevprime
 
 from colim import colimit, confluence, diagrams, invariants
-from colim.cli import main
+from colim.cli import build_parser, main
 from colim.colimit import ColimitElement
 from colim.diagrams import SequenceDiagram
 from colim.formats import emit_diagram, format_element, parse_element
@@ -270,6 +271,41 @@ INTEGER_OPTIONS = [
     ("divisible", X2, "--element", "1:1", "--horizon"),
     ("divisible", X2, "--element", "1:1", "--m"),
 ]
+
+
+# each command's usage, whitespace normalised since argparse wraps it at
+# $COLUMNS, and the options it reads when given only the arguments in
+# ``COMMANDS``
+PARSED = {
+    "validate": ("usage: colim validate [-h] diagram", {}),
+    "verify": ("usage: colim verify [-h] diagram_a diagram_b certificate", {}),
+    "search": ("usage: colim search [-h] [--depth DEPTH] [--bound BOUND] [--horizon HORIZON] [--nodes NODES] "
+               "[--emit FILE] diagram_a diagram_b",
+               {"depth": 3, "bound": 4, "horizon": 12, "nodes": 200000, "emit": None}),
+    "map": ("usage: colim map [-h] --element ELEMENT [--backward] diagram_a diagram_b certificate",
+            {"backward": False}),
+    "equal": ("usage: colim equal [-h] --e1 E1 --e2 E2 [--horizon HORIZON] diagram", {"horizon": None}),
+    "cone": ("usage: colim cone [-h] --element ELEMENT [--horizon HORIZON] diagram", {"horizon": None}),
+    "divisible": ("usage: colim divisible [-h] --element ELEMENT --m M [--horizon HORIZON] diagram",
+                  {"horizon": None}),
+    "invariants": ("usage: colim invariants [-h] diagram_a [diagram_b]", {}),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", PARSED)
+    def test_usage_and_defaults(self, command):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        # a new command needs its usage here, its error paths in
+        # ``COMMANDS`` and its line in README's CLI block
+        block = (SRC.parent / "README.md").read_text().split("## CLI", 1)[1]
+        readme = [line.split()[1] for line in block.split("```")[1].splitlines() if line.startswith("colim ")]
+        assert list(commands) == list(COMMANDS) == list(PARSED) == readme
+        usage, defaults = PARSED[command]
+        assert " ".join(commands[command].format_usage().split()) == usage
+        args = parser.parse_args([command, *(arg.format(A=X2, E="1:1") for arg in COMMANDS[command])])
+        assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 class TestIntegerOptions:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -19,7 +20,7 @@ from colim.confluence import (
     verify_certificate,
 )
 from colim.diagrams import SequenceDiagram, transition
-from colim.matrices import Matrix, iter_matrices, solve_matrix_eq
+from colim.matrices import Matrix, solve_matrix_eq
 
 from conftest import random_diagram, random_matrix, rank1, recursion_limit
 
@@ -80,6 +81,9 @@ def reference_search(seqA, seqB, budget):
     ``(side, start stage, K, next stage)`` whose system is consistent."""
     seqs = (seqA, seqB)
     constraint = "nonnegative" if seqA.simplicial else "any"
+    bound = budget.entry_bound
+    # entry values smallest magnitude first: 0, 1, -1, 2, -2, ...
+    values = range(bound + 1) if seqA.simplicial else sorted(range(-bound, bound + 1), key=lambda x: (abs(x), -x))
     last = [budget.stage_horizon if s.has_stage(budget.stage_horizon) else s.length for s in seqs]
     nodes, entered = 0, set()
 
@@ -112,7 +116,8 @@ def reference_search(seqA, seqB, budget):
         for i1 in range(1, last[0] + 1):
             for k1 in range(1, last[1] + 1):
                 ranks = (seqB.rank_at(k1), seqA.rank_at(i1))
-                for f1 in iter_matrices(*ranks, budget.entry_bound, seqA.simplicial):
+                for flat in itertools.product(values, repeat=ranks[0] * ranks[1]):
+                    f1 = Matrix([flat[r * ranks[1] : (r + 1) * ranks[1]] for r in range(ranks[0])], cols=ranks[1])
                     visit()
                     found = extend([i1, k1], [f1])
                     if found is not None:
@@ -945,3 +950,31 @@ class TestValueTypesTakeIntegersOnly:
             search_confluence(X2, X4, SearchBudget(3, 4, 12.5, 100))
         with pytest.raises(ValueError, match="depth takes integers only"):
             SearchBudget(2.5, 4, 12, 1000)
+
+
+# each field of maps, with its value type and arguments that type accepts
+MAP_FIELDS = [
+    (SequenceDiagram, VALUE_TYPES[1][1], "transitions"),
+    (ConfluenceCertificate, VALUE_TYPES[2][1], "f_mats"),
+    (ConfluenceCertificate, VALUE_TYPES[2][1], "g_mats"),
+]
+
+
+class TestValueTypesTakeMatricesOnly:
+    @pytest.mark.parametrize("bad", [[[2]], ((2,),), 2, None])
+    @pytest.mark.parametrize("make, good, name", MAP_FIELDS)
+    def test_non_matrix_map_named(self, make, good, name, bad):
+        # these once passed construction and failed in validate or
+        # verify_certificate with an AttributeError on ``rows``
+        kwargs = dict(good, **{name: [*good[name][:-1], bad]})
+        with pytest.raises(ValueError) as exc:
+            make(**kwargs)
+        assert str(exc.value) == f"{name} takes matrices only, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [(1, 1, 1), [2, 1, 1], {}, 0])
+    def test_periodic_is_a_certificate_period(self, bad):
+        good = VALUE_TYPES[2][1]
+        assert ConfluenceCertificate(**good, periodic=CertificatePeriod(2, 1, 1)).periodic.period_len == 1
+        with pytest.raises(ValueError) as exc:
+            ConfluenceCertificate(**good, periodic=bad)
+        assert str(exc.value) == f"periodic takes a CertificatePeriod or None, got {bad!r}"

@@ -10,11 +10,11 @@ from colim import matrices
 from colim.diagrams import SequenceDiagram, validate
 from colim.matrices import (
     Matrix,
+    _box,
     _echelon,
     _reduce,
     _substitute,
     is_injective,
-    iter_matrices,
     kernel_basis,
     rank,
     snf,
@@ -668,7 +668,7 @@ class TestSplitSolver:
             rows, inner, cols = (rng.randint(0, 3) for _ in range(3))
             a, b = random_matrix(rng, rows, inner, 3), random_matrix(rng, inner, cols, 3)
             made = [a * b, a.transpose(), *snf(a), Matrix.identity(rows), Matrix.zero(rows, cols)]
-            made += iter_matrices(rows, cols, 1) if rows * cols <= 2 else []
+            made += [Matrix._make(e, cols) for e in _box(rows, cols, 1, False)] if rows * cols <= 2 else []
             made += itertools.islice(solve_matrix_eq(b, a * b, "any", 3), 20)
             for m in made:
                 assert type(m.entries) is tuple and all(type(r) is tuple for r in m.entries)
@@ -909,14 +909,12 @@ class TestSolveMatrixEq:
 
 
 def test_iter_matrices_small_magnitude_first():
-    seq = list(iter_matrices(1, 1, 2))
-    assert [m[0, 0] for m in seq] == [0, 1, -1, 2, -2]
-    seq = list(iter_matrices(1, 2, 1, nonnegative=True))
-    assert [row(m, 0) for m in seq] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [e[0][0] for e in _box(1, 1, 2, False)] == [0, 1, -1, 2, -2]
+    assert [e[0] for e in _box(1, 2, 1, True)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def flat_product_order(rows, cols, entry_bound, nonnegative):
-    """The entries of each matrix in ``iter_matrices``'s order as first
+    """The entries of each candidate map in the search's order as first
     written: one flat product over all positions, sliced into rows."""
     vals = matrices.matrix_values(entry_bound, nonnegative)
     for flat in itertools.product(vals, repeat=rows * cols):
@@ -930,10 +928,10 @@ def test_iter_matrices_keeps_the_flat_product_order(entry_bound, nonnegative):
     # on a prefix that runs through every value at the last five positions
     limit = 20_000
     for rows, cols in itertools.product(range(4), repeat=2):
-        got = iter_matrices(rows, cols, entry_bound, nonnegative)
+        got = _box(rows, cols, entry_bound, nonnegative)
         old = flat_product_order(rows, cols, entry_bound, nonnegative)
         pairs = list(itertools.islice(itertools.zip_longest(got, old), limit))
-        assert all((m.rows, m.cols, m.entries) == (rows, cols, entries) for m, entries in pairs)
+        assert all(entries == want for entries, want in pairs)
         count = (entry_bound + 1 if nonnegative else 2 * entry_bound + 1) ** (rows * cols)
         assert len(pairs) == min(count, limit)
 
