@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fixture smoke: every colim subcommand on fixtures/ through the CLI
 # (validate of a clean and an invalid diagram, verify, map, search, the
-# queries equal, cone and divisible, and invariants), reading a file
+# queries equal, cone and divisible, and invariants), a diagram and two
+# certificates refused for a faulty matrix entry or row, reading a file
 # behind a UTF-8 byte-order mark or not in UTF-8, and a cold
 # `import colim.cli` that loads none of dataclasses, inspect, typing or
 # pathlib, with the interpreter in $PYTHON (default python3).  It needs
@@ -34,6 +35,11 @@ check 3 "status: exhausted" search $F/x2.diag $F/x3.diag
 check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf" \
     invariants $F/x2.diag $F/x3.diag
 check 1 "status: invalid" validate $F/bad_period.diag
+check 2 "error: $F/bad_float.diag: non-integer entry at transitions[0][0][0]" validate $F/bad_float.diag
+printf '{"i_indices": [1, 2], "k_indices": [1, 2], "f_mats": [[[1]], [[1]]], "g_mats": [[[true]]]}' > "$T/bad.cert"
+check 2 "error: $T/bad.cert: expected an integer at g_mats[0][0][0]" verify $F/x2.diag $F/x4.diag "$T/bad.cert"
+printf '{"i_indices": [1, 2], "k_indices": [1, 2], "f_mats": [[[1]], [[1], [2, 3]]], "g_mats": [[[2]]]}' > "$T/bad.cert"
+check 2 "error: $T/bad.cert: ragged matrix rows at f_mats[1][1]" verify $F/x2.diag $F/x4.diag "$T/bad.cert"
 check 0 "witness: 2" equal $F/x2.diag --e1 1:1 --e2 2:2
 check 0 "witness: 2" cone $F/fib.diag --element 1:1,-1
 check 0 "witness: 3" divisible $F/x2.diag --element 1:1 --m 4

@@ -5,6 +5,10 @@ values.  Entries must be decimal integer literals: a float literal, or
 the constant ``NaN`` or ``Infinity``, is a non-integer entry, rejected
 with the offending field path.  Parsing a diagram also runs validation,
 so a document either yields a clean diagram or a structured error.
+
+Each matrix is checked and built in one loop over its rows.  A field
+path is formatted only for a faulty document: its faulty matrix is then
+walked again, entry by entry, to name the first fault.
 """
 
 from __future__ import annotations
@@ -66,21 +70,36 @@ def _ints(value: object, path: str) -> list:
     return items
 
 
-def _matrix(value: object, path: str, empty_width: int = 0) -> Matrix:
-    """Check the rows in bulk; only a faulty document walks them again,
-    entry by entry, to name the first fault's field path.  A matrix
-    without rows is written ``[]`` and takes the width ``empty_width``."""
+def _matrix(value: object, path: str, empty_width: int = 0, index: int | None = None) -> Matrix:
+    """Check each row's type and width and each entry's type in one loop
+    that stops at the first fault, then build the matrix from the checked
+    rows.  A faulty matrix goes to :func:`_refuse`, which names its first
+    fault; its field path, ``path`` or ``path[index]`` given an index, is
+    formatted only then.  A matrix without rows is written ``[]`` and
+    takes the width ``empty_width``."""
+    if type(value) is not list:
+        _refuse(value, path, index, empty_width)
+    width = len(value[0]) if value and type(value[0]) is list else empty_width
+    for row in value:
+        if type(row) is not list or len(row) != width:
+            _refuse(value, path, index, empty_width)
+        for x in row:
+            if type(x) is not int:
+                _refuse(value, path, index, empty_width)
+    return Matrix._make(tuple(map(tuple, value)), width)
+
+
+def _refuse(value: object, path: str, index: int | None, empty_width: int) -> None:
+    """Raise the format error of a matrix that :func:`_matrix` found
+    faulty, walking it entry by entry to name the first fault's path."""
+    if index is not None:
+        path = f"{path}[{index}]"
     rows = _expect_list(value, path)
     width = len(rows[0]) if rows and type(rows[0]) is list else empty_width
-    if not (
-        all([type(row) is list and len(row) == width for row in rows])
-        and all([type(x) is int for row in rows for x in row])
-    ):
-        for r, row in enumerate(rows):
-            if len(_expect_list(row, f"{path}[{r}]")) != width:
-                raise FormatError(f"ragged matrix rows at {path}[{r}]")
-            _ints(row, f"{path}[{r}]")
-    return Matrix._make(tuple(map(tuple, rows)), width)
+    for r, row in enumerate(rows):
+        if len(_expect_list(row, f"{path}[{r}]")) != width:
+            raise FormatError(f"ragged matrix rows at {path}[{r}]")
+        _ints(row, f"{path}[{r}]")
 
 
 # the keys of a diagram's ``period`` and a certificate's ``periodic``
@@ -103,7 +122,7 @@ def parse_diagram(text: str, check: bool = True) -> SequenceDiagram:
     ranks = _ints(doc.get("ranks"), "ranks")
     # transition n leaves stage n + 1, so a row-less one is ranks[n] wide
     transitions = [
-        _matrix(m, f"transitions[{n}]", ranks[n] if n < len(ranks) else 0)
+        _matrix(m, "transitions", ranks[n] if n < len(ranks) else 0, n)
         for n, m in enumerate(_expect_list(doc.get("transitions", []), "transitions"))
     ]
     period = _fields(doc, "period", _PERIOD)
@@ -134,8 +153,8 @@ def parse_certificate(text: str) -> ConfluenceCertificate:
     doc = _expect_obj(_loads(text), "document")
     i_idx = _ints(doc.get("i_indices"), "i_indices")
     k_idx = _ints(doc.get("k_indices"), "k_indices")
-    f_mats = [_matrix(m, f"f_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("f_mats"), "f_mats"))]
-    g_mats = [_matrix(m, f"g_mats[{n}]") for n, m in enumerate(_expect_list(doc.get("g_mats"), "g_mats"))]
+    f_mats = [_matrix(m, "f_mats", index=n) for n, m in enumerate(_expect_list(doc.get("f_mats"), "f_mats"))]
+    g_mats = [_matrix(m, "g_mats", index=n) for n, m in enumerate(_expect_list(doc.get("g_mats"), "g_mats"))]
     periodic = _fields(doc, "periodic", _PERIODIC)
     return ConfluenceCertificate(i_idx, k_idx, f_mats, g_mats, periodic and CertificatePeriod(*periodic))
 

@@ -481,22 +481,17 @@ def is_injective(m: Matrix) -> bool:
 # ---------------------------------------------------------------------
 
 
-def matrix_values(entry_bound: int, nonnegative: bool) -> list:
-    """Candidate entry values, smallest magnitude first (0, 1, -1, 2, ...)."""
-    if nonnegative:
-        return list(range(entry_bound + 1))
-    vals = [0]
-    for x in range(1, entry_bound + 1):
-        vals.extend((x, -x))
-    return vals
-
-
 def _box(rows: int, cols: int, entry_bound: int, nonnegative: bool) -> Iterator[tuple]:
     """The entry tuples of all ``rows x cols`` matrices with entries
     within the bound, in position-lexicographic order with small
     magnitudes first, for a caller that builds a ``Matrix`` only for some
     of them."""
-    vals = matrix_values(entry_bound, nonnegative)
+    if nonnegative:
+        vals = range(entry_bound + 1)
+    else:
+        vals = [0]
+        for x in range(1, entry_bound + 1):
+            vals.extend((x, -x))
     return itertools.product(itertools.product(vals, repeat=cols), repeat=rows)
 
 

@@ -21,7 +21,7 @@ from colim.formats import (
 )
 from colim.matrices import Matrix
 
-from conftest import FIXTURES, random_diagram, random_matrix, rank1
+from conftest import FIXTURES, random_diagram, random_matrix, rank1, some_diagram
 
 
 def rank0_diagram(rng, mode):
@@ -438,3 +438,113 @@ class TestBulkChecksMatchTheEntryWalk:
             else:
                 assert not isinstance(want, str) and got == items
         assert 500 < faulty < 1500
+
+
+def clean_documents(rng, count):
+    """``(parse, doc, widths)`` for ``count`` clean decoded documents,
+    diagrams and certificates in turn; ``widths[name][n]`` is the width
+    the parser gives matrix ``n`` of the array ``name`` when it has no
+    rows."""
+    for n in range(count):
+        mode = ("plain", "simplicial")[n // 2 % 2]
+        if n % 2 == 0:
+            seq = some_diagram(rng, mode, periodic=rng.random() < 0.3)
+            yield parse_diagram, json.loads(emit_diagram(seq)), {"transitions": seq.ranks}
+            continue
+        depth = rng.randint(1, 4)
+        ra, rb = ([rng.randint(0, 3) for _ in range(depth)] for _ in "AB")
+        f = [random_matrix(rng, rb[m], ra[m], 2, mode == "simplicial") for m in range(depth)]
+        g = [random_matrix(rng, ra[m + 1], rb[m], 2, mode == "simplicial") for m in range(depth - 1)]
+        cert = ConfluenceCertificate(range(1, depth + 1), range(1, depth + 1), f, g)
+        yield parse_certificate, json.loads(emit_certificate(cert)), {"f_mats": [0] * depth, "g_mats": [0] * depth}
+
+
+# each fault kind with the values it plants and the message the entry walk gives it
+DOCUMENT_FAULTS = {
+    "float": ([2.5, 1e30, -0.0, 2.0], "non-integer entry"),
+    "true": ([True, False], "expected an integer"),
+    "string": (["7", ""], "expected an integer"),
+    "null": ([None], "expected an integer"),
+    "object": ([{"a": 1}, {}], "expected an integer"),
+    "nested list": ([[1], []], "expected an integer"),
+    "ragged row": (None, "ragged matrix rows"),
+    "non-list row": ([5, "row", None, {"r": 1}, 2.5, True], "expected an array"),
+    "non-list matrix": ([5, "x", None, {}, 2.5, True], "expected an array"),
+}
+
+
+def plant(rng, rows, kind):
+    """The matrix ``rows`` (a list of lists) with one fault of ``kind``,
+    or ``None`` when it has no place for one."""
+    values, _ = DOCUMENT_FAULTS[kind]
+    if kind == "non-list matrix":
+        return rng.choice(values)
+    if kind == "non-list row":
+        if not rows:
+            return [rng.choice(values)]
+        rows[rng.randrange(len(rows))] = rng.choice(values)
+        return rows
+    if kind == "ragged row":
+        if not rows:
+            return None
+        width = len(rows[0])
+        ragged = [1] * (width - 1 if width and rng.random() < 0.5 else width + 1)
+        rows.insert(rng.randint(1, len(rows)), ragged)
+        return rows
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    if not cells:
+        return None
+    r, c = rng.choice(cells)
+    rows[r][c] = rng.choice(values)
+    return rows
+
+
+class TestDocumentFaultsMatchTheEntryWalk:
+    """One fault planted in one matrix of a clean diagram or certificate
+    document: the parser's error is the entry walk's, under the field
+    path ``transitions[n]``, ``f_mats[n]`` or ``g_mats[n]``."""
+
+    def test_one_fault_per_document(self):
+        rng = random.Random(36)
+        planted = dict.fromkeys(DOCUMENT_FAULTS, 0)
+        for n, (parse, doc, widths) in enumerate(clean_documents(rng, 900)):
+            kind = list(DOCUMENT_FAULTS)[n % len(DOCUMENT_FAULTS)]
+            places = [(name, m) for name in widths for m in range(len(doc[name]))]
+            rng.shuffle(places)
+            for name, m in places:
+                faulty = plant(rng, doc[name][m], kind)
+                if faulty is not None:
+                    break
+            else:
+                continue
+            doc[name][m] = faulty
+            want = entry_walk(faulty, f"{name}[{m}]", widths[name][m])
+            assert isinstance(want, str) and want.startswith(DOCUMENT_FAULTS[kind][1] + f" at {name}[{m}]")
+            with pytest.raises(FormatError) as exc:
+                parse(json.dumps(doc))
+            assert str(exc.value) == want
+            planted[kind] += 1
+        assert min(planted.values()) >= 60, planted
+
+
+class TestParsedMatricesAreValues:
+    """A parsed matrix is a value: it equals and hashes like the checked
+    constructor's matrix of the same rows, holds tuples of tuples, and
+    keeps none of the decoded lists."""
+
+    def test_clean_documents(self):
+        rng = random.Random(63)
+        for parse, doc, widths in clean_documents(rng, 200):
+            parsed = parse(json.dumps(doc))
+            for name, field in widths.items():
+                for m, rows in enumerate(doc[name]):
+                    want = Matrix(rows, cols=None if rows else field[m])
+                    got = getattr(parsed, name)[m], _matrix(rows, f"{name}[{m}]", field[m])
+                    for matrix in got:
+                        assert matrix == want and hash(matrix) == hash(want)
+                        assert type(matrix.entries) is tuple and all(type(row) is tuple for row in matrix.entries)
+                    # the decoded lists, edited after _matrix returned
+                    for row in rows:
+                        row[:] = [x + 1 for x in row] + [0]
+                    rows.append([])
+                    assert got == (want, want)

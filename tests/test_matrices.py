@@ -915,8 +915,10 @@ def test_iter_matrices_small_magnitude_first():
 
 def flat_product_order(rows, cols, entry_bound, nonnegative):
     """The entries of each candidate map in the search's order as first
-    written: one flat product over all positions, sliced into rows."""
-    vals = matrices.matrix_values(entry_bound, nonnegative)
+    written: one flat product over all positions, sliced into rows, with
+    the values 0, 1, -1, 2, -2, ... (0, 1, 2, ... when nonnegative)."""
+    signs = (1,) if nonnegative else (1, -1)
+    vals = [0] + [s * x for x in range(1, entry_bound + 1) for s in signs]
     for flat in itertools.product(vals, repeat=rows * cols):
         yield tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
 
