@@ -1,7 +1,9 @@
 #!/bin/sh
 # Fixture smoke: every colim subcommand on fixtures/ through the CLI
 # (validate of a clean and an invalid diagram, verify, map, search, the
-# queries equal, cone and divisible, and invariants), a diagram and two
+# queries equal, cone and divisible, and invariants), a cone probe at
+# horizon 10^6 whose walk turns nonpositive at stage 2 and so stops at
+# stage 4 (a walk to the horizon would take minutes), a diagram and two
 # certificates refused for a faulty matrix entry or row, reading a file
 # behind a UTF-8 byte-order mark or not in UTF-8, and a cold
 # `import colim.cli` that loads none of dataclasses, inspect, typing or
@@ -42,6 +44,7 @@ printf '{"i_indices": [1, 2], "k_indices": [1, 2], "f_mats": [[[1]], [[1], [2, 3
 check 2 "error: $T/bad.cert: ragged matrix rows at f_mats[1][1]" verify $F/x2.diag $F/x4.diag "$T/bad.cert"
 check 0 "witness: 2" equal $F/x2.diag --e1 1:1 --e2 2:2
 check 0 "witness: 2" cone $F/fib.diag --element 1:1,-1
+check 0 "answer: unknown" cone $F/fib.diag --element 1:-1,1 --horizon 1000000
 check 0 "witness: 3" divisible $F/x2.diag --element 1:1 --m 4
 { printf '\357\273\277'; cat $F/x2.diag; } > "$T/bom.diag"
 check 0 "status: clean" validate "$T/bom.diag"

@@ -13,9 +13,14 @@ after which no witness first appears.  Only injective transitions (mono
 mode) settle a query: ``equal_at`` and ``eventual_equalizer`` at their
 start stage.  On a periodic diagram ``equal_at``, ``eventual_equalizer``
 and ``divisible`` stop at the barren stage that :func:`_barren` reads off
-the period declaration, so their cost does not grow with the horizon;
-``cone_member`` and ``factor_through_stage`` walk to the horizon, at a
-cost quadratic in it, since positivity has no such bound.
+the period declaration, so their cost does not grow with the horizon.
+On a simplicial periodic diagram ``cone_member`` and
+``factor_through_stage`` stop once a walked vector (for the factor, a
+column) is nonpositive and nonzero at a stage ``k``: nonnegative steps
+keep it so, so it turns nonnegative only by turning zero, a kernel
+question that ``_barren(seq, k, 1)`` settles.  A vector that stays mixed
+in sign, as under the period ``diag(2, 1)``, is walked to the horizon, at
+a cost quadratic in it.
 
 Elements move by :func:`~colim.diagrams.push`, one matrix-vector product
 per stored step; the only composite matrix built is the ``a_ij`` that
@@ -128,7 +133,7 @@ def _barren(seq: SequenceDiagram, start: int, links: int) -> int:
 
 
 def _first(
-    seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool],
+    seq: SequenceDiagram, start: int, vecs: list, horizon: int, holds: Callable[[list], bool | None],
     settled: int | None = None, links: int | None = None,
 ) -> Trilean:
     """``yes(k)`` at the first ``k in [start, horizon]`` where ``holds`` is
@@ -139,17 +144,24 @@ def _first(
     test passes its ``links`` (see :func:`_barren`), and on a periodic
     diagram the walk stops at ``min(horizon, _barren(...))``: past that
     stage no witness first appears, so ``unknown(horizon)`` still says
-    that no stage up to the horizon is one.  Every answer of the queries
-    below is built here."""
+    that no stage up to the horizon is one.  A caller without ``links``
+    may have ``holds`` answer ``None`` at a stage ``k``: the vectors fail
+    the test there and from then on pass it only at a stage where they
+    are zero.  From ``k`` on the walk is a kernel walk, so on a periodic
+    diagram it stops at ``min(horizon, _barren(seq, k, 1))``.  Every
+    answer of the queries below is built here."""
     if links is None or seq.period is None:
         last = horizon
     else:
         last = min(horizon, _barren(seq, start, links))
     for k, pushed in _walk(seq, start, vecs, last):
-        if holds(pushed):
+        found = holds(pushed)
+        if found:
             return Trilean.yes(k)
         if k == settled:
             return Trilean.no()
+        if found is None and links is None and seq.period is not None:
+            return _first(seq, k, pushed, horizon, holds, settled, links=1)
     return Trilean.unknown(horizon)
 
 
@@ -204,6 +216,15 @@ def factor_through_stage(
     stage-``i0`` representative of ``images[k]``; in simplicial mode the
     stage is advanced until all representatives are entrywise
     nonnegative.  ``None`` when the horizon is exhausted.
+
+    Nonnegative steps keep a nonpositive column nonpositive, so on a
+    simplicial periodic diagram a column that is nonpositive and nonzero
+    at stage ``k`` turns nonnegative only by turning zero, which it does
+    by ``_barren(seq, k, 1)`` or never: the walk answers ``None`` at that
+    deadline if the column is still nonzero there.  A column stays
+    nonnegative once it is, so one that turns zero before its deadline
+    drops out, and the walk goes on.  A column that stays mixed in sign,
+    as under the period ``diag(2, 1)``, is walked to the horizon.
     """
     if not images:
         raise ValueError("need at least one image")
@@ -212,19 +233,51 @@ def factor_through_stage(
     if start > horizon:  # an empty walk: nothing is pushed
         return None
     cols = [push(seq, e.stage, start, e.vec) for e in images]
+    # the columns not yet nonnegative; nonnegative steps keep a nonnegative one so
+    pending = range(len(cols)) if seq.simplicial else ()
+    deadlines = {}  # column -> the stage by which that nonpositive column is zero, if ever
     for i0, pushed in _walk(seq, start, cols, horizon):
-        if not (seq.simplicial and any(x < 0 for c in pushed for x in c)):
+        negative = []
+        for c in pending:
+            col = pushed[c]
+            if col and min(col) < 0:
+                negative.append(c)
+                if c not in deadlines:
+                    if seq.period is not None and max(col) <= 0:
+                        deadlines[c] = _barren(seq, i0, 1)
+                elif deadlines[c] == i0:
+                    return None
+        if not negative:
             return i0, Matrix.from_columns(pushed, rows=seq.rank_at(i0))
+        pending = negative
     return None
 
 
 def cone_member(seq: SequenceDiagram, e: ColimitElement, horizon: int) -> Trilean:
     """Whether the element lies in the colimit positive cone, i.e. some
-    pushforward within the horizon is entrywise nonnegative."""
+    pushforward within the horizon is entrywise nonnegative.
+
+    Nonnegative steps keep a nonpositive vector nonpositive, so once the
+    pushed vector is nonpositive and nonzero it reaches the cone only by
+    reaching 0: on a periodic diagram the walk from such a stage ``k``
+    stops at ``_barren(seq, k, 1)``.  A vector that stays mixed in sign,
+    as under the period ``diag(2, 1)``, is walked to the horizon."""
     if not seq.simplicial:
         raise ValueError("cone membership is only defined in simplicial mode")
     _check(seq, horizon, e)
-    return _first(seq, e.stage, [e.vec], horizon, lambda pushed: min(pushed[0], default=0) >= 0)
+    return _first(seq, e.stage, [e.vec], horizon, _nonnegative)
+
+
+def _nonnegative(pushed: list) -> bool | None:
+    """Whether the one pushed vector is entrywise nonnegative; ``None``
+    when it is nonpositive and nonzero, since nonnegative steps keep it
+    so and it is nonnegative only where it is zero."""
+    vec = pushed[0]
+    if not vec or min(vec) >= 0:  # min's default= costs more than the test
+        return True
+    if max(vec) > 0:
+        return False
+    return None
 
 
 def divisible(

@@ -81,6 +81,21 @@ def recursion_limit(frames):
 
 
 @pytest.fixture
+def count_steps(monkeypatch):
+    """A function that returns the answer of ``query()`` and the number
+    of ``SequenceDiagram._step`` calls it made."""
+    calls = []
+    step = SequenceDiagram._step
+    monkeypatch.setattr(SequenceDiagram, "_step", lambda seq, i: calls.append(i) or step(seq, i))
+
+    def counted(query):
+        calls.clear()
+        return query(), len(calls)
+
+    return counted
+
+
+@pytest.fixture
 def rng():
     return random.Random(20240817)
 

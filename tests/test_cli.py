@@ -458,6 +458,8 @@ class TestMapAndQueries:
         (("divisible", X3, "--element", "1:1", "--m", "2"), 1),
         # fib has rank 2: the walk stops two periods past stage 1
         (("equal", FIB, "--e1", "1:1,0", "--e2", "1:0,1"), 2),
+        # (0, -1) at stage 2 is nonpositive: the walk stops two periods on
+        (("cone", FIB, "--element", "1:-1,1"), 3),
     ])
     def test_unknown_at_a_far_horizon_stops_at_the_barren_stage(self, capsys, monkeypatch, argv, steps):
         """The answer is the walk to the horizon's, and its cost does not

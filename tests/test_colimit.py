@@ -323,3 +323,49 @@ class TestWitnessOnTheBarrenStage:
         self.check(lambda h: divisible(jordan, e, 2, h), 3, colim.colimit._barren(jordan, 1, 1))
         for k in range(2, 7):  # the chain stops before its length bound here
             assert divisible(jordan, e, 2**k, 10**6) == Trilean.yes(2 + k - (k % 2 == 0))
+
+
+def simplicial_period(rows):
+    return SequenceDiagram("simplicial", [len(rows)] * 2, [Matrix(rows)], False, (0, 1))
+
+
+class TestNonpositiveWalksStopAtTheBarrenStage:
+    """Nonnegative steps keep a nonpositive vector nonpositive, so on a
+    simplicial periodic diagram ``cone_member`` and ``factor_through_stage``
+    stop at ``_barren(seq, k, 1)`` once a walked vector is nonpositive and
+    nonzero at stage ``k``; a vector that stays mixed in sign is walked
+    to the horizon."""
+
+    DIAG21 = simplicial_period([[2, 0], [0, 1]])
+
+    def test_factor_column_that_reaches_zero_drops_out(self):
+        # the second column is zero from stage 2 on, before its deadline at
+        # stage 4; the first turns nonnegative at stage 6
+        seq = simplicial_period([[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+        images = [ColimitElement(1, (-5, 1, 0)), ColimitElement(1, (0, 0, -1))]
+        assert colim.colimit._barren(seq, 1, 1) == 4
+        got = factor_through_stage(seq, images, 10)
+        assert got == (6, Matrix.from_columns([(0, 1, 0), (0, 0, 0)], rows=3))
+
+    def test_cone_witness_on_the_barren_stage(self):
+        seq = simplicial_period([[0, 1], [0, 0]])
+        e = ColimitElement(1, (-1, -1))  # (-1, 0) after one step, 0 after two
+        assert colim.colimit._barren(seq, 1, 1) == 3
+        for horizon in (3, 4, 10**6):
+            assert cone_member(seq, e, horizon) == Trilean.yes(3)
+        assert cone_member(seq, e, 2) == Trilean.unknown(2)
+
+    def test_fib_probe_cost_does_not_grow_with_the_horizon(self, count_steps):
+        # (-1, 1) -> (0, -1) at stage 2, which never dies: the walk stops at
+        # _barren(FIB, 2, 1) = 4, and one more step resolves the horizon's rank
+        e = ColimitElement(1, (-1, 1))
+        for horizon in (10, 10**6):
+            assert count_steps(lambda: cone_member(FIB, e, horizon)) == (Trilean.unknown(horizon), 4)
+
+    def test_mixed_sign_walk_goes_to_the_horizon(self, count_steps):
+        e = ColimitElement(1, (-1, 1))
+        assert count_steps(lambda: cone_member(self.DIAG21, e, 50)) == (Trilean.unknown(50), 50)
+        # beside it, (0, -1) sinks at stage 1 and is still nonzero at its deadline 3
+        images = [e, ColimitElement(1, (0, -1))]
+        assert count_steps(lambda: factor_through_stage(self.DIAG21, images, 50)) == (None, 3)
+        assert count_steps(lambda: factor_through_stage(self.DIAG21, images[:1], 50)) == (None, 50)

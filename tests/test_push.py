@@ -403,3 +403,120 @@ class TestBarrenStage:
                 seen["stopped early"] += answer.kind == "unknown" and answer.stage > barren
                 seen["yes past truncation"] += answer.is_yes and answer.stage > seq.length
         assert min(seen.values()) >= 30, seen
+
+
+# -- (e) cone and factor walks that turn nonpositive -------------------------
+
+
+def with_zero_lines(rng, seq):
+    """``seq`` with zero rows and columns planted in its transitions, so
+    that nonpositive vectors often die: each row and each column is zeroed
+    with probability 1/4."""
+    transitions = []
+    for m in seq.transitions:
+        dead_rows = {i for i in range(m.rows) if rng.random() < 0.25}
+        dead_cols = {c for c in range(m.cols) if rng.random() < 0.25}
+        rows = [[0 if i in dead_rows or c in dead_cols else x for c, x in enumerate(row)] for i, row in enumerate(m.entries)]
+        transitions.append(Matrix(rows, cols=m.cols))
+    return SequenceDiagram(seq.mode, seq.ranks, transitions, seq.mono_required, seq.period)
+
+
+def slow_beside_dying(rng):
+    """A simplicial periodic diagram on Z^2 + Z^k, k = 1 or 2, whose
+    transitions are ``[[U, 0], [C, N]]``: ``U = [[1, 1], [0, 1]]`` takes
+    ``(-c, 1)`` to ``(0, 1)`` in ``c`` steps, ``N`` is strictly upper
+    triangular, so a vector in the second summand dies, and ``C`` has
+    entries in 0..1.  One column can stay mixed in sign past the stage by
+    which another, nonpositive one, has died."""
+    prefix, length = rng.randint(0, 2), rng.randint(1, 3)
+    k = rng.randint(1, 2)
+    r = 2 + k
+
+    def entry(i, c):
+        if i < 2:
+            return int(i <= c < 2)
+        return rng.randint(0, 1) if c < 2 or c > i else 0
+
+    transitions = [Matrix([[entry(i, c) for c in range(r)] for i in range(r)]) for _ in range(prefix + length)]
+    return SequenceDiagram("simplicial", [r] * (prefix + length + 1), transitions, False, (prefix, length))
+
+
+def sparse(rng, seq, stage):
+    """An element at ``stage`` whose entries are 0 with probability 1/2,
+    else in -6..3; all are nonpositive with probability 1/2."""
+    top = 0 if rng.random() < 0.5 else 3
+    return ColimitElement(stage, tuple(rng.randint(-6, top) if rng.random() < 0.5 else 0 for _ in range(seq.rank_at(stage))))
+
+
+def slow(rng, seq, stage):
+    """``(-c, 1, ...)`` at ``stage``, ``c`` in 1..20, the rest in 0..2:
+    mixed in sign for ``c`` stages of :func:`slow_beside_dying`."""
+    rest = [rng.randint(0, 2) for _ in range(seq.rank_at(stage) - 2)]
+    return ColimitElement(stage, (-rng.randint(1, 20), 1, *rest))
+
+
+def dies(rng, seq, stage):
+    """A nonpositive nonzero element at ``stage`` in the second summand of
+    :func:`slow_beside_dying`, which dies."""
+    rest = [-rng.randint(0, 3) for _ in range(seq.rank_at(stage) - 2)]
+    rest[rng.randrange(len(rest))] = -rng.randint(1, 3)
+    return ColimitElement(stage, (0, 0, *rest))
+
+
+def sinks(seq, e, horizon):
+    """The first stage up to ``horizon`` at which ``e`` pushed forward is
+    nonpositive and nonzero, or ``None``."""
+    x = e.vec
+    for k in range(e.stage, horizon + 1):
+        if any(x) and max(x) <= 0:
+            return k
+        x = transition(seq, k, k + 1).apply(x)
+    return None
+
+
+class TestNonpositiveWalks:
+    """On a simplicial periodic diagram ``cone_member`` and
+    ``factor_through_stage`` stop at ``_barren(seq, k, 1)`` once a walked
+    vector is nonpositive and nonzero at stage ``k``.  The references walk
+    every stage to the horizon through composites, so the two agree on
+    every answer, witness stage, horizon and factor matrix.  Two families:
+    300 random diagrams with planted zero rows and columns, and 150 of
+    :func:`slow_beside_dying`, where a factor answer often lies past a
+    sunk column's deadline because that column died before it."""
+
+    def test_queries_agree_with_walks_to_the_horizon(self, count_steps):
+        rng = random.Random("nonpositive")
+        seen = dict.fromkeys((
+            "cone yes after sinking", "cone stopped early", "factor yes after sinking",
+            "factor stopped early", "factor yes past a deadline",
+        ), 0)
+        for n in range(450):
+            if n % 3 == 0:
+                seq = slow_beside_dying(rng)
+                makers = [slow, dies, rng.choice((slow, dies, sparse))]
+            else:
+                seq = with_zero_lines(rng, some_diagram(rng, "simplicial", periodic=True))
+                makers = [sparse] * 3
+            horizon = rng.randint(1, 80)
+
+            e = rng.choice(makers)(rng, seq, rng.randint(1, 6))
+            got, steps = count_steps(lambda: cone_member(seq, e, horizon))
+            assert got == ref_first(seq, e, horizon, lambda x: all(v >= 0 for v in x)), (seq, e, horizon)
+            if sinks(seq, e, horizon) is not None:
+                seen["cone yes after sinking"] += got.is_yes
+                seen["cone stopped early"] += not got.is_yes and steps < horizon - e.stage
+
+            images = [make(rng, seq, rng.randint(1, 6)) for make in makers[: rng.randint(1, 3)]]
+            rng.shuffle(images)
+            got, steps = count_steps(lambda: factor_through_stage(seq, images, horizon))
+            assert got == ref_factor(seq, images, horizon), (seq, images, horizon)
+            sunk = [sinks(seq, x, horizon) for x in images]
+            if any(k is not None for k in sunk):
+                start = max(x.stage for x in images)
+                seen["factor yes after sinking"] += got is not None
+                seen["factor stopped early"] += got is None and steps < horizon - start
+                # a column that sank at k died by its deadline and dropped out, and the walk went on
+                seen["factor yes past a deadline"] += got is not None and any(
+                    k is not None and got[0] > colimit._barren(seq, max(k, start), 1) for k in sunk
+                )
+        assert min(seen.values()) >= 30, seen
