@@ -1,7 +1,9 @@
 #!/bin/sh
 # Fixture smoke: every colim subcommand on fixtures/ through the CLI
 # (validate of a clean and an invalid diagram, verify, map, search, the
-# queries equal, cone and divisible, and invariants), a cone probe at
+# queries equal, cone and divisible, and invariants), the whole output of
+# `search fib fib` against its golden file, whose half-levels solve 2x2
+# invertible systems from their adjugates, a cone probe at
 # horizon 10^6 whose walk turns nonpositive at stage 2 and so stops at
 # stage 4 (a walk to the horizon would take minutes), a diagram and two
 # certificates refused for a faulty matrix entry or row, reading a file
@@ -34,6 +36,14 @@ check 0 "image: 51:2" map $F/x2.diag $F/x4.diag $F/x2_x4.cert --element 100:1
 check 0 "image: 201:4" map $F/x2.diag $F/x4.diag $F/x2_x4.cert --element 100:1 --backward
 check 0 "status: found" search $F/x2.diag $F/x4.diag
 check 3 "status: exhausted" search $F/x2.diag $F/x3.diag
+golden=tests/golden/search_fib_fib.out
+PYTHONPATH=src "$py" -m colim.cli search $F/fib.diag $F/fib.diag --depth 2 --bound 2 --horizon 8 > "$T/fib.out" \
+    || { echo "colim search fib fib: exit $?, expected 0" >&2; exit 1; }
+if ! cmp -s "$T/fib.out" $golden; then
+    printf 'colim search fib fib: output differs from %s:\n' $golden >&2
+    diff -u $golden "$T/fib.out" >&2 || :
+    exit 1
+fi
 check 0 "evidence: CONCLUSIVE supernatural invariants inequivalent: 2^inf vs 3^inf" \
     invariants $F/x2.diag $F/x3.diag
 check 1 "status: invalid" validate $F/bad_period.diag

@@ -117,19 +117,33 @@ def _barren(seq: SequenceDiagram, start: int, links: int) -> int:
     (``links = 1``) or modulo ``m`` (``links = m.bit_length() - 1``).
 
     Every step from ``s = max(start, prefix + 1)`` on repeats the period,
-    so the composite ``P`` of one period from ``s`` is square of size
-    ``r = rank_at(s)``, and the kernel of the composite from ``s`` to
-    ``s + n`` lies in that of ``P^k`` for ``k = ceil(n / length)``.  The
-    kernels of ``P^k`` rise until two neighbours agree and then stay put;
-    over the rationals the chain has at most ``r`` steps, and modulo ``m``
-    at most ``r * Omega(m) <= r * floor(log2 m)``, the composition length
-    of ``(Z/m)^r`` (``Omega`` counts prime factors with multiplicity).  So
-    a vector killed at any stage is killed by stage ``s + r * links *
-    length``; the stages before ``s`` are walked.  Plain arithmetic on the
-    declaration: no matrix is built."""
+    so for each stage ``t`` from ``s`` on the composite ``P`` of one
+    period from ``t`` is square of size ``r = rank_at(t)``, and the kernel
+    of the composite from ``t`` to ``t + n`` lies in that of ``P^k`` for
+    ``k = ceil(n / length)``.  The kernels of ``P^k`` rise until two
+    neighbours agree and then stay put; over the rationals the chain has
+    at most ``r`` steps, and modulo ``m`` at most ``r * Omega(m) <= r *
+    floor(log2 m)``, the composition length of ``(Z/m)^r`` (``Omega``
+    counts prime factors with multiplicity).  So a vector killed at any
+    stage is killed by stage ``t + r * links * length``, and by ``t``
+    itself if it was killed before ``t``.  Each of those is a bound, and
+    this returns the least over the period's stages ``t = s .. s +
+    length - 1``, so a period that passes through a small rank walks no
+    further than that rank asks; the stages before it are walked.  Across
+    the period ``t`` moves by less than ``length`` and a unit of rank adds
+    ``links * length``, so for ``links >= 1`` the least bound is at the
+    first ``t`` whose rank is the period's least, and for ``links = 0`` it
+    is ``s``.  Plain arithmetic on the declaration, which stores the ranks
+    of one period at stages ``prefix + 1 .. prefix + length``: no matrix
+    is built."""
     prefix, length = seq.period
     s = max(start, prefix + 1)
-    return s + seq.rank_at(s) * links * length
+    if not links:
+        return s
+    i = (s - prefix - 1) % length  # stage s repeats the stored stage prefix + 1 + i
+    ranks = seq.ranks[prefix + i : prefix + length] + seq.ranks[prefix : prefix + i]
+    r = min(ranks)
+    return s + ranks.index(r) + r * links * length
 
 
 def _first(

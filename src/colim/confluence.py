@@ -495,7 +495,9 @@ def search_confluence(
     one table; a revisit is one lookup.  Each distinct ``K`` is eliminated
     once, by one :func:`~colim.matrices.solve_matrix_eq` aimed at the
     horizon target of the first half-level that needs it, and every other
-    target of ``K`` reuses that elimination; the solutions come in the
+    target of ``K`` reuses that elimination: the determinant and cofactor
+    rows of a square invertible ``K`` of size 1 to 3, the Hermite form
+    of ``[K | I]`` of any other.  The solutions come in the
     order :func:`~colim.matrices.solve_matrix_eq` gives.  Resolving a
     half-level substitutes its targets only; the row streams of a target
     are built when the search first enters it, so a node limit or a

@@ -10,7 +10,10 @@ elimination on primitive rows, which builds no lattice basis.  A kernel
 of corank 0 or 1 is such a rank question: the rows that elimination
 keeps give the zero kernel, or the primitive vector on the kernel line
 by back substitution, and build no lattice either.  Only a kernel of
-corank 2 or more goes through the Hermite kernel.
+corank 2 or more goes through the Hermite kernel.  A square ``K`` of
+size 1 to 3 with a nonzero determinant is the second case that builds no
+lattice: ``X * K = T`` has at most one solution, which the solver reads
+off the cofactor matrix of ``K`` by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -555,6 +558,54 @@ def _substitute(reduced: tuple, targets: Sequence[Sequence[int]]):
     return z0s, basis, pivots
 
 
+def _adjugate(k: Matrix):
+    """``(det k, cofactor rows of k)`` when ``k`` is square of size 1 to 3
+    with a nonzero determinant, else ``None``.
+
+    Such a ``k`` has a zero left kernel, so ``y @ k = c`` has at most one
+    solution, ``c @ adj(k) / det k``, a rational one; its ``i``-th entry
+    is ``c`` times the ``i``-th row of the cofactor matrix, over the
+    determinant.  :func:`_cramer` reads it off without :func:`_reduce`'s
+    lattice, and every other ``k`` goes through the Hermite kernel.
+    """
+    n = k.cols
+    if n != k.rows or not 0 < n < 4:
+        return None
+    if n == 1:
+        cofactors = ((1,),)
+    elif n == 2:
+        (a, b), (c, d) = k.entries
+        cofactors = ((d, -c), (-b, a))
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = k.entries
+        cofactors = (
+            (e * i - f * h, f * g - d * i, d * h - e * g),
+            (c * h - b * i, a * i - c * g, b * g - a * h),
+            (b * f - c * e, c * d - a * f, a * e - b * d),
+        )
+    det = sum(map(mul, k.entries[0], cofactors[0]))
+    return (det, cofactors) if det else None
+
+
+def _cramer(adjugate: tuple, targets: Sequence[Sequence[int]]):
+    """:func:`_substitute` for a ``k`` that :func:`_adjugate` reads:
+    ``None`` if some target ``c`` has no integer solution of
+    ``y @ k = c``, that is if the determinant does not divide every
+    entry of ``c @ adj(k)``, else ``(z0s, [], [])``, the unique solution
+    of each target over an empty basis."""
+    det, cofactors = adjugate
+    z0s = []
+    for c in targets:
+        z0 = []
+        for row in cofactors:
+            q, rem = divmod(sum(map(mul, c, row)), det)
+            if rem:
+                return None
+            z0.append(q)
+        z0s.append(tuple(z0))
+    return z0s, [], []
+
+
 def _row_streams(solved: tuple, entry_bound: int, nonnegative: bool) -> list:
     """The row streams of a substitution ``(z0s, basis, pivots)`` from
     :func:`_substitute`: for each ``z0``, the tuple of the vectors
@@ -628,11 +679,17 @@ class MatrixEqSolutions:
     those streams, first row outermost.  Each row's stream is
     materialised in full when iteration starts.
 
-    ``k`` is eliminated once, by :func:`_reduce`, and ``t`` substituted
-    once.  That one elimination serves every target as wide as ``k``,
-    in two steps that keep nothing: :meth:`substitute` solves a target
-    up to its lattice of solutions, and :meth:`row_streams` walks that
-    lattice through the box.  Iteration walks the substitution of ``t``.
+    ``k`` is eliminated once and ``t`` substituted once.  A square ``k``
+    of size 1 to 3 with a nonzero determinant is eliminated into its
+    determinant and cofactor rows by :func:`_adjugate`, and a target is
+    substituted by :func:`_cramer`: its one solution over an empty basis,
+    exactly what the Hermite path gives for a zero left kernel.  Every
+    other ``k`` is eliminated by :func:`_reduce` and substituted by
+    :func:`_substitute`.  That one elimination serves every target as
+    wide as ``k``, in two steps that keep nothing: :meth:`substitute`
+    solves a target up to its lattice of solutions, and
+    :meth:`row_streams` walks that lattice through the box.  Iteration
+    walks the substitution of ``t``.
 
     ``consistent`` is False when the system has no integer solution at
     all, which is distinguishable from an enumeration that is merely
@@ -652,8 +709,12 @@ class MatrixEqSolutions:
         self.t = t
         self.entry_bound = entry_bound
         self.nonnegative = constraint == "nonnegative"
-        self._reduced = _reduce(k)
-        self._solved = _substitute(self._reduced, t.entries)
+        adjugate = _adjugate(k)
+        if adjugate is None:
+            self._reduced, self._solve_rows = _reduce(k), _substitute
+        else:
+            self._reduced, self._solve_rows = adjugate, _cramer
+        self._solved = self._solve_rows(self._reduced, t.entries)
         self.consistent = self._solved is not None
 
     def substitute(self, t: Matrix):
@@ -663,7 +724,7 @@ class MatrixEqSolutions:
         :meth:`row_streams` reads."""
         if t.cols != self.k.cols:
             raise ValueError(f"shape mismatch: X*k has {self.k.cols} columns, t has {t.cols}")
-        return self._solved if t.entries == self.t.entries else _substitute(self._reduced, t.entries)
+        return self._solved if t.entries == self.t.entries else self._solve_rows(self._reduced, t.entries)
 
     def row_streams(self, solved) -> list:
         """For each row of the target that :meth:`substitute` gave
@@ -684,5 +745,8 @@ def solve_matrix_eq(k: Matrix, t: Matrix, constraint: str = "any", entry_bound: 
     The order is deterministic: each row's solutions come in
     lexicographic order of their coordinates along the Hermite basis of
     the left kernel of ``k``, not in the order of the entries.  Each
-    row's stream is materialised when iteration starts."""
+    row's stream is materialised when iteration starts.  A square ``k``
+    of size 1 to 3 with a nonzero determinant has a zero left kernel,
+    so each row has at most one solution, read off the adjugate of ``k``
+    without the Hermite kernel."""
     return MatrixEqSolutions(k, t, constraint, entry_bound)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,29 @@ class TestNonpositiveWalksStopAtTheBarrenStage:
         e = ColimitElement(1, (-1, 1))
         for horizon in (10, 10**6):
             assert count_steps(lambda: cone_member(FIB, e, horizon)) == (Trilean.unknown(horizon), 4)
+
+    def test_barren_stage_is_the_least_over_the_period(self, count_steps):
+        # Z^3 -> Z -> Z^3: stage 1's bound is 1 + 3 * 2 = 7, stage 2's is
+        # 2 + 1 * 2 = 4; (-1, 0, 0) is (-1) at stage 2 and never dies, so the
+        # walk stops at stage 4, and one more step resolves the horizon's rank
+        seq = SequenceDiagram("simplicial", [3, 1, 3], [Matrix([[1, 1, 1]]), Matrix([[1], [1], [1]])], False, (0, 2))
+        assert [colim.colimit._barren(seq, k, 1) for k in range(1, 6)] == [4, 4, 6, 6, 8]
+        assert colim.colimit._barren(seq, 1, 3) == 8  # 2 + 1 * 3 * 2, not 1 + 3 * 3 * 2
+        e = ColimitElement(1, (-1, 0, 0))
+        answer, steps = count_steps(lambda: cone_member(seq, e, 10**6))
+        assert answer == Trilean.unknown(10**6) and steps <= 4
+
+    def test_barren_stage_is_the_least_bound_of_its_definition(self, rng):
+        for _ in range(300):
+            prefix, length = rng.randint(0, 3), rng.randint(1, 4)
+            ranks = [rng.randint(0, 3) for _ in range(prefix + length)]
+            ranks.append(ranks[prefix])
+            steps = [Matrix.zero(ranks[t + 1], ranks[t]) for t in range(len(ranks) - 1)]
+            seq = SequenceDiagram("plain", ranks, steps, False, (prefix, length))
+            for start, links in itertools.product(range(1, 10), range(4)):
+                s = max(start, prefix + 1)
+                least = min(t + seq.rank_at(t) * links * length for t in range(s, s + length))
+                assert colim.colimit._barren(seq, start, links) == least
 
     def test_mixed_sign_walk_goes_to_the_horizon(self, count_steps):
         e = ColimitElement(1, (-1, 1))

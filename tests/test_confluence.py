@@ -315,8 +315,14 @@ class TestSearch:
         # after an f faces X2's powers of 2, the one after a g X3's powers
         # of 3, so the column gcds refute every K but +-1, +-2, +-4 and +-8
         # before any elimination, and each of those 8 is solved by one
-        # solve_matrix_eq and eliminated by one _reduce
-        reduce_k, solve, reduced, solved = matrices._reduce, confluence.solve_matrix_eq, [], []
+        # solve_matrix_eq and, being invertible, read off its adjugate once
+        # and never eliminated by _reduce
+        adjugate, reduce_k, solve = matrices._adjugate, matrices._reduce, confluence.solve_matrix_eq
+        adjugated, reduced, solved = [], [], []
+
+        def counted_adjugate(k):
+            adjugated.append(k)
+            return adjugate(k)
 
         def counted_reduce(k):
             reduced.append(k)
@@ -326,12 +332,13 @@ class TestSearch:
             solved.append(k)
             return solve(k, *args)
 
+        monkeypatch.setattr(matrices, "_adjugate", counted_adjugate)
         monkeypatch.setattr(matrices, "_reduce", counted_reduce)
         monkeypatch.setattr(confluence, "solve_matrix_eq", counted_solve)
         assert search_confluence(X2, X3, SearchBudget(3, 8, 12, 200000)) is None
-        assert len(reduced) == 8 == len(set(reduced))
-        assert sorted(k[0, 0] for k in reduced) == [-8, -4, -2, -1, 1, 2, 4, 8]
-        assert solved == reduced
+        assert len(adjugated) == 8 == len(set(adjugated)) and not reduced
+        assert sorted(k[0, 0] for k in adjugated) == [-8, -4, -2, -1, 1, 2, 4, 8]
+        assert solved == adjugated
 
     def test_x2_x3_resolves_each_half_level_once(self, monkeypatch):
         # the exhaustion meets the same (side, start stage, K) over and over;
@@ -490,6 +497,37 @@ class TestSearch:
             found += cert is not None
             out_of_nodes += len(nodes) > budget.node_limit
         assert found >= 5 and out_of_nodes >= 40
+
+    def test_adjugate_path_changes_no_node_or_certificate(self, rng, monkeypatch):
+        # a square invertible K of size 1 to 3 is solved from its adjugate;
+        # with that path switched off every K goes through the Hermite
+        # kernel, and the search must visit the same nodes and return the
+        # same certificate either way
+        tick, adjugate, nodes, read = confluence._Counter.tick, matrices._adjugate, [], []
+
+        def counted(counter):
+            nodes.append(1)
+            tick(counter)
+
+        def recorded_adjugate(k):
+            pair = adjugate(k)
+            read.append(pair is not None)
+            return pair
+
+        monkeypatch.setattr(confluence._Counter, "tick", counted)
+        found = 0
+        for n in range(240):
+            stages, mode = 3 + n % 2, ("plain", "simplicial")[n // 2 % 2]
+            seqA, seqB = (random_diagram(rng, stages, max_rank=3, bound=3, mode=mode) for _ in "AB")
+            budget = SearchBudget(3, 3, stages, 100)
+            runs = []
+            for switched_off in (False, True):
+                monkeypatch.setattr(matrices, "_adjugate", (lambda k: None) if switched_off else recorded_adjugate)
+                nodes.clear()
+                runs.append((search_confluence(seqA, seqB, budget), len(nodes)))
+            assert runs[0] == runs[1]
+            found += runs[0][0] is not None
+        assert found >= 10 and sum(read) >= 1000 and len(read) - sum(read) >= 1000
 
     def test_streams_are_built_for_the_entered_targets_only(self, rng, monkeypatch):
         # a half-level substitutes its live targets when it is resolved,

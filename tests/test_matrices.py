@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -673,6 +674,75 @@ class TestSplitSolver:
             for m in made:
                 assert type(m.entries) is tuple and all(type(r) is tuple for r in m.entries)
                 assert Matrix(m.entries, cols=m.cols) == m
+
+
+class TestAdjugatePath:
+    """A square ``k`` of size 1 to 3 with a nonzero determinant has a zero
+    left kernel, so :func:`solve_matrix_eq` reads the one solution of each
+    target off its cofactor matrix and builds no Hermite lattice.  Every
+    answer must be what ``_reduce`` and ``_substitute`` give when called
+    directly, and every other ``k`` must still take the Hermite path."""
+
+    @staticmethod
+    def square(rng, n, singular):
+        if not singular:
+            return random_matrix(rng, n, n, 4)
+        if n == 1:
+            return Matrix([[0]])
+        return random_matrix(rng, n, n - 1, 3) * random_matrix(rng, n - 1, n, 3)
+
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        """The ``k`` of every call to ``matrices._reduce``, in order; the
+        module's own ``_reduce`` name stays the original."""
+        calls = []
+        monkeypatch.setattr(matrices, "_reduce", lambda k: calls.append(k) or _reduce(k))
+        return calls
+
+    def test_matches_the_hermite_path(self, rng, reduced):
+        tally = Counter()
+        for n in range(2400):
+            size = 1 + n % 3
+            k = self.square(rng, size, n % 4 == 0)
+            invertible = bareiss_det(k) != 0
+            bound, constraint = rng.randint(0, 4), ("any", "nonnegative")[n // 3 % 2]
+            targets = [random_matrix(rng, rng.randint(0, 2), size, 3) * k for _ in range(2)]
+            targets += [random_matrix(rng, rng.randint(1, 2), size, 4) for _ in range(2)]
+            reduced.clear()
+            sols = solve_matrix_eq(k, targets[n % 4], constraint, bound)
+            assert (not reduced) == invertible
+            want = _substitute(_reduce(k), targets[n % 4].entries)
+            assert sols.consistent == (want is not None)
+            for t in targets:
+                solved = sols.substitute(t)
+                assert solved == _substitute(_reduce(k), t.entries)
+                tally[invertible, solved is not None] += 1
+            iterated = [] if want is None else itertools.product(*matrices._row_streams(want, bound, constraint == "nonnegative"))
+            expected = [Matrix(rows, cols=size) for rows in itertools.islice(iterated, 100)]
+            assert list(itertools.islice(sols, 100)) == expected
+            if invertible:
+                assert not reduced  # no substitution eliminated k either
+                tally["yielded"] += len(expected)
+        assert min(tally[True, True], tally[True, False], tally[False, True], tally[False, False]) >= 1000
+        assert tally["yielded"] >= 300
+
+    def test_other_shapes_take_the_hermite_path(self, rng, reduced):
+        others = [Matrix.zero(0, 0), Matrix([[0]]), Matrix([[1, 2], [2, 4]]), Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])]
+        others += [Matrix.identity(4), random_matrix(rng, 4, 4, 3), Matrix([[1, 2]]), Matrix([[1], [2]])]
+        others += [random_matrix(rng, 2, 3, 3), random_matrix(rng, 3, 2, 3)]
+        for k in others:
+            assert matrices._adjugate(k) is None
+            reduced.clear()
+            solve_matrix_eq(k, Matrix.zero(1, k.cols))
+            assert reduced == [k]
+        for k in (Matrix([[-3]]), Matrix([[2, 1], [1, 1]]), Matrix([[2, 0, 1], [0, 1, 0], [1, 0, 0]])):
+            det, cofactors = matrices._adjugate(k)
+            assert det == bareiss_det(k)
+            # the cofactor rows are the columns of the adjugate: k * adj(k) = det * I
+            assert k * Matrix(cofactors).transpose() == Matrix([[det * (i == j) for j in range(k.cols)] for i in range(k.rows)])
+            reduced.clear()
+            solve_matrix_eq(k, Matrix.zero(1, k.cols))
+            assert not reduced
 
 
 def assert_reduced_hermite(a, pivots):
